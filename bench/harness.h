@@ -5,7 +5,8 @@
 // the baseline cost, then sweeps processor counts and synchronisation
 // configurations on the deterministic machine-model engine and prints the
 // speedup rows of the corresponding figure.  See DESIGN.md ("Substitutions")
-// for why speedups come from the machine model on this single-core host.
+// for why the figure speedups come from the deterministic machine model;
+// wall-clock numbers of the real engines come from wallbench/.
 #pragma once
 
 #include <functional>

@@ -53,6 +53,14 @@ echo "==> Adaptation smoke: IIR slice, dynamic vs all-optimistic at P=16"
 # of all-optimistic's makespan on the IIR (it used to collapse to ~26%).
 ctest --test-dir build -L adapt_smoke --output-on-failure
 
+echo "==> Scheduler smoke: ready queue vs reference scan, activity-bound rounds"
+# The ctest sweep above already ran it; the named gate keeps the scheduler
+# proof visible: the ReadyQueue must select in exactly the reference scan's
+# (key, lp) order under random updates, parks, re-arms, migrations and
+# rebuilds, and a threaded P=1 run on a ~20k-LP netlist must match the
+# oracle while its round sweeps visit under a tenth of rounds x LPs.
+ctest --test-dir build -L sched --output-on-failure
+
 echo "==> Doc links: no dangling DESIGN.md/README anchors or section refs"
 # Section titles get renamed; quoted references in prose and code comments
 # do not follow automatically.  The checker fails on markdown links to

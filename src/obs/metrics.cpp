@@ -56,6 +56,7 @@ const char* metric_name(Metric m) {
     case Metric::kAdaptPromotions: return "adapt.promotions";
     case Metric::kAdaptPins: return "adapt.pinned";
     case Metric::kAdaptDeferrals: return "adapt.deferrals";
+    case Metric::kRoundLpVisits: return "engine.round_lp_visits";
     case Metric::kCount: break;
   }
   return "unknown";

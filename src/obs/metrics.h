@@ -34,9 +34,9 @@ enum class Metric : std::uint16_t {
   kGvtRounds,         ///< engine.gvt_rounds
   /// engine.gvt_scan_items — candidates touched by GVT min-reductions, the
   /// direct evidence that rounds are hierarchical: per-worker minima come
-  /// from each worker's ordered ready structure, so this grows with the
-  /// worker count (machine model) or the per-worker LP count (threaded),
-  /// NOT with workers x LPs.
+  /// from each worker's ordered ready structure (heap top plus parked LPs),
+  /// so this grows with the worker count and the blocked-LP count, NOT
+  /// with workers x LPs.
   kGvtScanItems,
   kBlockedPolls,      ///< engine.blocked_polls
   kQueueOps,          ///< engine.queue_ops — pending-queue push/pop/annihilate
@@ -93,6 +93,10 @@ enum class Metric : std::uint16_t {
   kAdaptPromotions,        ///< adapt.promotions — conservative -> optimistic
   kAdaptPins,              ///< adapt.pinned — LPs pinned conservative
   kAdaptDeferrals,         ///< adapt.deferrals — demotions deferred by budget
+  /// engine.round_lp_visits — LPs the GVT rounds' fossil/adapt sweeps
+  /// visited (threaded and distributed: dirty LPs only, so it tracks
+  /// activity, not rounds x LPs).
+  kRoundLpVisits,
   kCount
 };
 

@@ -364,7 +364,6 @@ DistributedEngine::DistributedEngine(LpGraph& graph, Partition partition,
   replicas_ = std::min<std::uint32_t>(config_.checkpoint.replicas, nranks_);
 
   lps_.reserve(graph_.size());
-  key_.assign(graph_.size(), kTimeInf);
   last_promise_.assign(graph_.size(), kTimeZero);
   for (LpId id = 0; id < graph_.size(); ++id) {
     lps_.emplace_back(&graph_.lp(id), config_.ordering, config_.strategy,
@@ -428,11 +427,7 @@ double DistributedEngine::nowd() const {
   return static_cast<double>(net::now_ms());
 }
 
-VirtualTime DistributedEngine::local_min() const {
-  VirtualTime m = kTimeInf;
-  for (const LpId lp : owned_) m = std::min(m, key_[lp]);
-  return m;
-}
+VirtualTime DistributedEngine::local_min() const { return ready_.min_key(); }
 
 void DistributedEngine::note_progress(VirtualTime gvt) {
   store_relaxed(dump_gvt_pt_, static_cast<std::int64_t>(gvt.pt));
@@ -465,7 +460,23 @@ bool DistributedEngine::is_successor(std::uint32_t r) const {
   return std::find(s.begin(), s.end(), r) != s.end();
 }
 
-void DistributedEngine::refresh_key(LpId lp) { key_[lp] = lps_[lp].next_ts(); }
+void DistributedEngine::refresh_key(LpId lp) {
+  ready_.update(lp, lps_[lp].next_ts());
+}
+
+void DistributedEngine::credit_parked(LpId lp) {
+  if (const std::uint64_t n = ready_.take_credit(lp)) lps_[lp].note_blocked(n);
+}
+
+void DistributedEngine::adopt_partition() {
+  owned_.clear();
+  ready_.reset(graph_.size());
+  for (LpId id = 0; id < graph_.size(); ++id) {
+    if (partition_[id] != rank_) continue;
+    owned_.push_back(id);
+    ready_.add(id, lps_[id].next_ts());
+  }
+}
 
 void DistributedEngine::setup_stack_or_die() {
   node_ = std::make_unique<net::SocketNode>(rank_, nranks_, config_.net);
@@ -573,6 +584,7 @@ void DistributedEngine::deliver(Event ev) {
   const bool is_null = ev.kind == kNullMsgKind;
   const std::uint64_t rb0 = lps_[dst].stats().rollbacks;
   const std::uint64_t un0 = lps_[dst].stats().events_undone;
+  credit_parked(dst);  // before a rollback can change the poll class
   DistRouter router(*this);
   lps_[dst].enqueue(std::move(ev), router);
   if (lps_[dst].stats().rollbacks != rb0) {
@@ -601,38 +613,19 @@ void DistributedEngine::send_null_messages_for(LpId lp) {
 }
 
 bool DistributedEngine::try_process_one() {
-  // Cursor-based selection scan over the owned LPs in (next_ts, lp) order;
-  // same scheduler as the threaded engine's hot path.
-  VirtualTime cursor_ts = kTimeZero;
-  LpId cursor_lp = 0;
-  bool have_cursor = false;
-  for (;;) {
-    VirtualTime ts = kTimeInf;
-    LpId lp = 0;
-    bool found = false;
-    for (const LpId cand : owned_) {
-      const VirtualTime k = key_[cand];
-      if (k == kTimeInf) continue;
-      if (have_cursor &&
-          (k < cursor_ts || (k == cursor_ts && cand <= cursor_lp)))
-        continue;
-      if (!found || k < ts || (k == ts && cand < lp)) {
-        ts = k;
-        lp = cand;
-        found = true;
-      }
-    }
-    if (!found) break;
-    if (ts.pt > config_.until) break;
-    cursor_ts = ts;
-    cursor_lp = lp;
-    have_cursor = true;
+  // Same scheduler as the threaded engine's hot path: pop the ready heap in
+  // (next_ts, lp) order, parking blocked LPs until a delivery or a round.
+  ready_.begin_pass();
+  while (!ready_.empty()) {
+    if (ready_.top_key().pt > config_.until) break;
+    const LpId lp = ready_.top();
     const Eligibility e = lps_[lp].peek(safe_bound_, config_.until);
-    if (e == Eligibility::kBlocked) {
+    if (e != Eligibility::kReady) {
+      assert(e == Eligibility::kBlocked);
       lps_[lp].note_blocked();
+      ready_.park_top();
       continue;
     }
-    if (e == Eligibility::kIdle) continue;
     DistRouter router(*this);
     wstats_.busy_cost += lps_[lp].process_next(router);
     ++wstats_.events;
@@ -669,10 +662,7 @@ void DistributedEngine::capture_fault_ring(std::uint64_t round) {
 }
 
 void DistributedEngine::apply_restore(const Checkpoint& ck) {
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    lps_[id].restore_from(ck.lps[id]);
-    key_[id] = lps_[id].next_ts();
-  }
+  for (LpId id = 0; id < lps_.size(); ++id) lps_[id].restore_from(ck.lps[id]);
   last_promise_ = ck.last_promise;
   // The channel layer resets outright -- fresh cursors, nothing in flight.
   // Epoch filtering in the socket node keeps the abandoned timeline's data
@@ -696,9 +686,7 @@ void DistributedEngine::apply_restore(const Checkpoint& ck) {
   retained_batches_.erase(retained_batches_.upper_bound(ck.round),
                           retained_batches_.end());
   if (ft_on_) store_.drop_above(ck.round);
-  owned_.clear();
-  for (LpId id = 0; id < graph_.size(); ++id)
-    if (partition_[id] == rank_) owned_.push_back(id);
+  adopt_partition();
   safe_bound_ = ck.gvt;
   events_since_round_ = 0;
   in_round_ = false;
@@ -771,7 +759,6 @@ RunStats DistributedEngine::run() {
     for (const Event& ev : graph_.initial_events()) {
       Event copy = ev;
       lps_[ev.dst].enqueue(std::move(copy), seed);
-      refresh_key(ev.dst);
     }
   }
 
@@ -809,10 +796,8 @@ RunStats DistributedEngine::run() {
           return out;
         }
       }
-      for (LpId id = 0; id < graph_.size(); ++id) {
+      for (LpId id = 0; id < graph_.size(); ++id)
         lps_[id].restore_from(ck->lps[id]);
-        key_[id] = lps_[id].next_ts();
-      }
       last_promise_ = ck->last_promise;
       safe_bound_ = ck->gvt;
       resume_round = ck->round;
@@ -965,6 +950,9 @@ void DistributedEngine::reap_children(bool force) {
 // ---------------------------------------------------------------------------
 
 void DistributedEngine::child_main() {
+  // Before the mesh comes up: a faster rank's data can arrive while this
+  // one still waits for its startup barrier, and delivery needs the queue.
+  adopt_partition();
   setup_stack_or_die();
   if (config_error_) {
     // Only rank 0 can get here (other ranks _exit inside setup); it owns
@@ -974,9 +962,6 @@ void DistributedEngine::child_main() {
     pipe_final(rs);
     _exit(5);
   }
-  owned_.clear();
-  for (LpId id = 0; id < graph_.size(); ++id)
-    if (partition_[id] == rank_) owned_.push_back(id);
   main_loop();
   // Only the final coordinator falls out of main_loop (workers _exit on
   // their stop/abort paths).
@@ -1673,27 +1658,34 @@ bool DistributedEngine::coordinator_round() {
 void DistributedEngine::apply_gvt_local(std::uint64_t round, VirtualTime gvt,
                                         bool ckpt_due) {
   DistRouter router(*this);
-  if (ckpt_due) {
-    ckpt_capture_and_ship(round, gvt);
-  } else {
-    for (const LpId lp : owned_) lps_[lp].fossil_collect(gvt, router);
-  }
+  // Parked LPs' blocked polls land before the capture's rollback and
+  // before adapt() reads them.
+  ready_.settle_credits(
+      [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
+  if (ckpt_due) ckpt_capture_and_ship(round, gvt);  // fossils every owned LP
   // Each rank is its own adaptation scope: the demotion budget drains in
-  // owned_ order, so decisions depend only on this rank's deterministic
-  // counters, never on cross-process timing.
+  // ascending LP id, so decisions depend only on this rank's deterministic
+  // counters, never on cross-process timing.  Only dirty LPs are visited,
+  // as in the threaded engine's round.
   AdaptController adapt(config_.adapt, config_.num_workers);
   adapt.begin_round(owned_.size());
-  for (const LpId lp : owned_) {
+  ready_.take_dirty(sweep_);
+  for (const LpId lp : sweep_) {
+    if (!ckpt_due) lps_[lp].fossil_collect(gvt, router);
+    bool deferred = false;
     if (config_.configuration == Configuration::kDynamic) {
       const AdaptDecision d = adapt.adapt(lps_[lp]);
-      if (d.action == AdaptAction::kDeferred)
-        metrics_.shard(0).inc(obs::Metric::kAdaptDeferrals);
+      deferred = d.action == AdaptAction::kDeferred;
+      if (deferred) metrics_.shard(0).inc(obs::Metric::kAdaptDeferrals);
     } else {
       lps_[lp].reset_window();
     }
     if (config_.strategy == ConservativeStrategy::kNullMessage)
       send_null_messages_for(lp);
+    if (lps_[lp].round_visit_pending() || deferred) ready_.touch(lp);
   }
+  metrics_.shard(0).inc(obs::Metric::kRoundLpVisits, sweep_.size());
+  ready_.rearm();
   events_since_round_ = 0;
   round_req_sent_ = false;
   in_round_ = false;
@@ -1707,6 +1699,7 @@ void DistributedEngine::ckpt_capture_and_ship(std::uint64_t round,
   DistRouter router(*this);
   for (const LpId lp : owned_) {
     lps_[lp].fossil_collect(gvt, router);
+    if (lps_[lp].history_size() == 0) continue;  // pending set unchanged
     lps_[lp].rollback_all_deferred();
     refresh_key(lp);
   }

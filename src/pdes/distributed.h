@@ -77,6 +77,7 @@
 #include "pdes/graph.h"
 #include "pdes/lp_runtime.h"
 #include "pdes/machine.h"  // Partition
+#include "pdes/ready_queue.h"
 #include "pdes/stats.h"
 #include "pdes/transport.h"
 
@@ -158,6 +159,10 @@ class DistributedEngine {
   std::size_t pump_io(int timeout_ms);
   void deliver(Event ev);
   void refresh_key(LpId lp);
+  /// Charges a parked LP the blocked polls it sat out (ReadyQueue credit).
+  void credit_parked(LpId lp);
+  /// Recomputes owned_ from partition_ and rebuilds the ready queue.
+  void adopt_partition();
   bool try_process_one();
   void send_null_messages_for(LpId lp);
   bool maybe_crash() const;
@@ -232,9 +237,10 @@ class DistributedEngine {
   CommitHook hook_;
 
   std::vector<LpRuntime> lps_;
-  std::vector<VirtualTime> key_;
   std::vector<VirtualTime> last_promise_;
   std::vector<LpId> owned_;
+  ReadyQueue ready_;         ///< this rank's scheduler (ready_queue.h)
+  std::vector<LpId> sweep_;  ///< scratch for the round's dirty-LP sweep
 
   std::uint32_t rank_ = 0;
   std::uint32_t nranks_ = 1;

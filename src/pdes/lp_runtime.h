@@ -128,13 +128,15 @@ class LpRuntime {
   }
   [[nodiscard]] std::uint64_t window_undone() const { return window_undone_; }
   void reset_window();
-  void note_blocked() {
-    ++stats_.blocked_polls;
+  /// Records `polls` scheduler polls that found the LP blocked (more than
+  /// one when a ready queue credits the passes a parked LP sat out).
+  void note_blocked(std::uint64_t polls = 1) {
+    stats_.blocked_polls += polls;
     if (mode_ == SyncMode::kOptimistic && max_history_ != 0 &&
         history_.size() >= max_history_) {
-      ++window_memory_stalls_;  // Time Warp memory exhaustion, not safety
+      window_memory_stalls_ += polls;  // Time Warp memory, not safety
     } else {
-      ++window_blocked_;
+      window_blocked_ += polls;
     }
   }
   [[nodiscard]] std::uint64_t window_memory_stalls() const {
@@ -175,6 +177,13 @@ class LpRuntime {
   }
   /// Consecutive folded windows dominated by Time Warp memory stalls.
   [[nodiscard]] std::uint32_t stall_streak() const { return stall_streak_; }
+  /// True when the next GVT round's fossil/adapt visit does work even if
+  /// the LP sees no new activity before it: history to commit, or a
+  /// memory-stall streak the next fold resets.  Engines that visit only
+  /// active LPs at rounds keep these in the next round's set.
+  [[nodiscard]] bool round_visit_pending() const {
+    return !history_.empty() || stall_streak_ > 0;
+  }
   /// Test hook: stages one synthetic window's counters (as if they had
   /// accumulated live); the next fold_window()/controller round folds them.
   void inject_window(std::uint64_t events, std::uint64_t undone,

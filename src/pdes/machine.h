@@ -8,9 +8,9 @@
 // clock, and speedup(P) = sequential cost / makespan.
 //
 // Rationale (see DESIGN.md): the paper measured wall-clock speedups on a
-// 16-processor SGI Challenge.  This container has a single core, where
-// wall-clock measurements of a threaded run would reflect scheduler noise
-// rather than algorithmic parallelism.  The machine model executes the
+// 16-processor SGI Challenge.  Wall-clock measurements of a threaded run on
+// a shared, few-core host reflect its load and core count rather than
+// algorithmic parallelism.  The machine model executes the
 // identical protocol logic (same LpRuntime code as the threaded engine) and
 // measures the critical path deterministically, which preserves the *shape*
 // of the paper's figures: who wins, how close to linear, and where the
@@ -90,7 +90,10 @@ class MachineEngine {
   struct Worker {
     double clock = 0.0;
     std::vector<LpId> owned;
-    /// Owned LPs keyed by their minimal pending timestamp.
+    /// Owned LPs keyed by their minimal pending timestamp.  Deliberately
+    /// not a ReadyQueue (ready_queue.h): this engine polls blocked LPs on
+    /// every pass and those exact poll counts feed the modelled adaptation,
+    /// so parking them would change the figures' makespans.
     std::set<std::pair<VirtualTime, LpId>> ready;
     std::priority_queue<Arrival, std::vector<Arrival>, std::greater<>> mailbox;
     std::uint64_t events_since_round = 0;

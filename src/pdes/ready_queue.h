@@ -1,0 +1,288 @@
+// Per-worker scheduler structure shared by the threaded and distributed
+// engines: an indexed ready heap, a parked list for blocked LPs, blocked-poll
+// credit, and the dirty set that bounds GVT-round work by activity.
+//
+// Selection.  Every member LP with a finite key (its next pending timestamp)
+// sits in a binary min-heap ordered by (key, lp), with a per-LP position
+// index so a re-key is an O(log n) sift.  A selection pass walks the heap top
+// exactly as the old cursor scan over every owned LP visited candidates.
+//
+// Parking.  An LP whose peek() is kBlocked leaves the heap.  Its eligibility
+// can only change through a delivery (update()) or a GVT round (the round
+// calls rearm() after the new bound, fossil collection and adaptation), so
+// later passes skip it at no cost.  The old scan would have polled it once
+// per pass; take_credit() / settle_credits() return those polls so the
+// engine can charge them to LpRuntime::note_blocked() -- the adaptation
+// controller's promotion evidence keeps its meaning.
+//
+// Dirty set.  add(), update() and park_top() mark an LP dirty; take_dirty()
+// hands the round the marked members in ascending id and clears the marks.
+// Engines re-touch() the LPs that need another visit next round regardless
+// of activity (held history, a memory-stall streak, a deferred demotion).
+//
+// Single-threaded: each queue belongs to one worker (or rank).  The threaded
+// engine's coordinator touches other workers' queues only while they wait at
+// a round barrier.
+#pragma once
+
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <vector>
+
+#include "common/virtual_time.h"
+#include "pdes/event.h"
+
+namespace vsim::pdes {
+
+class ReadyQueue {
+ public:
+  ReadyQueue() = default;
+  /// An empty queue over the LP id space [0, num_lps).
+  explicit ReadyQueue(std::size_t num_lps) { reset(num_lps); }
+
+  /// Drops every member, the parked list and the dirty set.
+  void reset(std::size_t num_lps) {
+    slot_.assign(num_lps, Slot{});
+    heap_.clear();
+    parked_.clear();
+    dirty_.clear();
+    members_ = 0;
+  }
+
+  // ---- membership ----
+
+  /// `lp` joins the queue with next timestamp `key` (seeding, migration in,
+  /// rebuild after recovery).  Marks it dirty.
+  void add(LpId lp, VirtualTime key) {
+    assert(slot_[lp].where == Where::kOut);
+    slot_[lp].where = Where::kIdle;
+    ++members_;
+    place(lp, key);
+    touch(lp);
+  }
+
+  /// `lp` leaves the queue (migration out).  Callers take any parked credit
+  /// first.  A stale dirty mark stays behind; take_dirty() filters it.
+  void remove(LpId lp) {
+    Slot& s = slot_[lp];
+    assert(s.where != Where::kOut);
+    if (s.where == Where::kHeap) heap_erase(s.pos);
+    if (s.where == Where::kParked) parked_erase(s.pos);
+    s.where = Where::kOut;
+    --members_;
+  }
+
+  [[nodiscard]] bool contains(LpId lp) const {
+    return slot_[lp].where != Where::kOut;
+  }
+  [[nodiscard]] bool parked(LpId lp) const {
+    return slot_[lp].where == Where::kParked;
+  }
+  /// Member count (the adaptation scope of the owner).
+  [[nodiscard]] std::size_t size() const { return members_; }
+
+  // ---- keys ----
+
+  /// The member's next timestamp changed (delivery, processed event,
+  /// checkpoint rollback).  Unparks it and marks it dirty.
+  void update(LpId lp, VirtualTime key) {
+    Slot& s = slot_[lp];
+    assert(s.where != Where::kOut);
+    if (s.where == Where::kHeap && key != kTimeInf) {
+      const VirtualTime old = heap_[s.pos].key;
+      heap_[s.pos].key = key;
+      if (key < old)
+        sift_up(s.pos);
+      else
+        sift_down(s.pos);
+    } else {
+      if (s.where == Where::kHeap) heap_erase(s.pos);
+      if (s.where == Where::kParked) parked_erase(s.pos);
+      s.where = Where::kIdle;
+      place(lp, key);
+    }
+    touch(lp);
+  }
+
+  // ---- selection ----
+
+  /// Starts one selection pass (one try_process_one call).  Parked LPs earn
+  /// one blocked-poll credit per pass.
+  void begin_pass() { ++passes_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  /// Minimal (key, lp) in the heap.  Precondition: !empty().
+  [[nodiscard]] LpId top() const { return heap_.front().lp; }
+  [[nodiscard]] VirtualTime top_key() const { return heap_.front().key; }
+
+  /// The heap top is blocked: park it until a delivery or the next round.
+  /// The pass that parks it is the one that polled it, so its credit starts
+  /// after this pass.
+  void park_top() {
+    const Node n = heap_.front();
+    heap_erase(0);
+    Slot& s = slot_[n.lp];
+    s.where = Where::kParked;
+    s.pos = static_cast<std::uint32_t>(parked_.size());
+    parked_.push_back({n.lp, n.key, passes_});
+    touch(n.lp);
+  }
+
+  // ---- blocked-poll credit ----
+
+  /// Passes `lp` has sat parked since it parked or was last credited (0 if
+  /// it is not parked); restarts its count.
+  std::uint64_t take_credit(LpId lp) {
+    const Slot& s = slot_[lp];
+    if (s.where != Where::kParked) return 0;
+    Parked& p = parked_[s.pos];
+    const std::uint64_t n = passes_ - p.stamp;
+    p.stamp = passes_;
+    return n;
+  }
+
+  /// take_credit() for every parked LP: calls f(lp, n) for each n > 0.
+  template <typename F>
+  void settle_credits(F&& f) {
+    for (Parked& p : parked_) {
+      const std::uint64_t n = passes_ - p.stamp;
+      p.stamp = passes_;
+      if (n > 0) f(p.lp, n);
+    }
+  }
+
+  // ---- GVT rounds ----
+
+  /// Local GVT candidate: min(heap top, parked keys).
+  [[nodiscard]] VirtualTime min_key() const {
+    VirtualTime m = heap_.empty() ? kTimeInf : heap_.front().key;
+    for (const Parked& p : parked_) m = std::min(m, p.key);
+    return m;
+  }
+  [[nodiscard]] std::size_t parked_count() const { return parked_.size(); }
+
+  /// Every parked LP back into the heap (after the round's new bound).
+  void rearm() {
+    for (const Parked& p : parked_) {
+      slot_[p.lp].where = Where::kIdle;
+      place(p.lp, p.key);
+    }
+    parked_.clear();
+  }
+
+  /// Marks `lp` for the next round's visit.
+  void touch(LpId lp) {
+    Slot& s = slot_[lp];
+    if (s.dirty) return;
+    s.dirty = true;
+    dirty_.push_back(lp);
+  }
+
+  /// Moves the dirty members into `out` in ascending id and clears every
+  /// mark.  LPs touched while the caller walks `out` land in the next set.
+  void take_dirty(std::vector<LpId>& out) {
+    out.clear();
+    out.swap(dirty_);
+    std::size_t keep = 0;
+    for (const LpId lp : out) {
+      slot_[lp].dirty = false;
+      if (slot_[lp].where != Where::kOut) out[keep++] = lp;
+    }
+    out.resize(keep);
+    std::sort(out.begin(), out.end());
+  }
+
+ private:
+  enum class Where : std::uint8_t { kOut, kIdle, kHeap, kParked };
+  struct Slot {
+    std::uint32_t pos = 0;  ///< index in heap_ or parked_
+    Where where = Where::kOut;
+    bool dirty = false;
+  };
+  struct Node {
+    VirtualTime key;
+    LpId lp;
+  };
+  struct Parked {
+    LpId lp;
+    VirtualTime key;
+    std::uint64_t stamp;  ///< passes_ when parked or last credited
+  };
+
+  static bool less(const Node& a, const Node& b) {
+    return a.key < b.key || (a.key == b.key && a.lp < b.lp);
+  }
+
+  /// Puts an unplaced member where `key` says: the heap if finite, else idle.
+  void place(LpId lp, VirtualTime key) {
+    if (key == kTimeInf) return;
+    Slot& s = slot_[lp];
+    s.where = Where::kHeap;
+    s.pos = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back({key, lp});
+    sift_up(s.pos);
+  }
+
+  void heap_erase(std::size_t i) {
+    const std::size_t last = heap_.size() - 1;
+    if (i != last) {
+      const VirtualTime old = heap_[i].key;
+      const LpId old_lp = heap_[i].lp;
+      set(i, heap_[last]);
+      heap_.pop_back();
+      if (less(heap_[i], Node{old, old_lp}))
+        sift_up(i);
+      else
+        sift_down(i);
+    } else {
+      heap_.pop_back();
+    }
+  }
+
+  void parked_erase(std::size_t i) {
+    if (i + 1 != parked_.size()) {
+      parked_[i] = parked_.back();
+      slot_[parked_[i].lp].pos = static_cast<std::uint32_t>(i);
+    }
+    parked_.pop_back();
+  }
+
+  void set(std::size_t i, const Node& n) {
+    heap_[i] = n;
+    slot_[n.lp].pos = static_cast<std::uint32_t>(i);
+  }
+
+  void sift_up(std::size_t i) {
+    const Node n = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!less(n, heap_[parent])) break;
+      set(i, heap_[parent]);
+      i = parent;
+    }
+    set(i, n);
+  }
+
+  void sift_down(std::size_t i) {
+    const Node n = heap_[i];
+    const std::size_t size = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= size) break;
+      if (child + 1 < size && less(heap_[child + 1], heap_[child])) ++child;
+      if (!less(heap_[child], n)) break;
+      set(i, heap_[child]);
+      i = child;
+    }
+    set(i, n);
+  }
+
+  std::vector<Slot> slot_;
+  std::vector<Node> heap_;
+  std::vector<Parked> parked_;
+  std::vector<LpId> dirty_;
+  std::size_t members_ = 0;
+  std::uint64_t passes_ = 0;
+};
+
+}  // namespace vsim::pdes

@@ -15,6 +15,8 @@ namespace vsim::pdes {
 /// round, small enough that incoming mail and round requests are observed
 /// promptly.
 constexpr std::uint32_t kEventSlice = 16;
+/// Consecutive empty iterations before a worker counts as idle.
+constexpr std::uint32_t kIdleSpins = 16;
 
 // Reusable cyclic barrier (std::barrier lacks a default constructor and we
 // want a stable address across rounds).
@@ -132,7 +134,6 @@ ThreadedEngine::ThreadedEngine(LpGraph& graph, Partition partition,
   if (config_error_) return;  // run() surfaces the error without starting
   assert(partition_.size() == graph_.size());
   lps_.reserve(graph_.size());
-  key_.assign(graph_.size(), kTimeInf);
   last_promise_.assign(graph_.size(), kTimeZero);
   lb_events_base_.assign(graph_.size(), 0);
   lb_undone_base_.assign(graph_.size(), 0);
@@ -141,6 +142,7 @@ ThreadedEngine::ThreadedEngine(LpGraph& graph, Partition partition,
     workers_.push_back(std::make_unique<Worker>());
     workers_.back()->outbox.resize(config_.num_workers);
     workers_.back()->inbox.reset(config_.num_workers);
+    workers_.back()->ready.reset(graph_.size());
   }
   for (LpId id = 0; id < graph_.size(); ++id) {
     lps_.emplace_back(&graph_.lp(id), config_.ordering, config_.strategy,
@@ -152,7 +154,7 @@ ThreadedEngine::ThreadedEngine(LpGraph& graph, Partition partition,
     }
     const std::uint32_t w = partition_[id];
     assert(w < workers_.size());
-    workers_[w]->owned.push_back(id);
+    workers_[w]->ready.add(id, lps_[id].next_ts());
   }
   barrier_ = std::make_unique<RoundBarrier>(config_.num_workers);
 
@@ -214,14 +216,21 @@ ThreadedEngine::ThreadedEngine(LpGraph& graph, Partition partition,
 ThreadedEngine::~ThreadedEngine() = default;
 
 void ThreadedEngine::refresh_key(std::size_t wi, LpId lp) {
-  // Just recache the LP's next timestamp: the scheduler finds the minimum
-  // with a selection scan over the owner's LPs (try_process_one), so there
-  // is no sorted structure to maintain.  The old std::set ready-queue cost
-  // an erase + insert (two node allocations plus rebalancing) per delivery
-  // and per processed event -- measurably the largest constant in the
-  // per-event budget once the mailbox went batched.
-  (void)wi;
-  key_[lp] = lps_[lp].next_ts();
+  workers_[wi]->ready.update(lp, lps_[lp].next_ts());
+}
+
+void ThreadedEngine::credit_parked(std::size_t wi, LpId lp) {
+  if (const std::uint64_t n = workers_[wi]->ready.take_credit(lp))
+    lps_[lp].note_blocked(n);
+}
+
+void ThreadedEngine::set_idle(Worker& w, bool idle) {
+  if (w.idle == idle) return;
+  w.idle = idle;
+  if (idle)
+    idle_workers_.fetch_add(1, std::memory_order_acq_rel);
+  else
+    idle_workers_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ThreadedEngine::deliver(std::size_t wi, Event ev) {
@@ -233,6 +242,9 @@ void ThreadedEngine::deliver(std::size_t wi, Event ev) {
   // single-threaded.
   const std::uint64_t rb0 = lps_[dst].stats().rollbacks;
   const std::uint64_t un0 = lps_[dst].stats().events_undone;
+  // Credit before enqueue: a rollback may shrink the history, which changes
+  // how note_blocked() classifies the polls the LP sat out.
+  credit_parked(wi, dst);
   ThreadedRouter router(*this, wi);
   lps_[dst].enqueue(std::move(ev), router);
   if (lps_[dst].stats().rollbacks != rb0) {
@@ -295,41 +307,23 @@ std::size_t ThreadedEngine::drain_own_mailbox(std::size_t wi) {
 
 bool ThreadedEngine::try_process_one(std::size_t wi) {
   Worker& w = *workers_[wi];
-  // Visit owned LPs in ascending (next_ts, lp) order -- the same order the
-  // old std::set ready-queue iterated in -- via a cursor-based selection
-  // scan over the cached keys.  Workers own a handful of LPs, so the scan
-  // is a few cache-resident compares, and the scheduler maintains no
-  // sorted structure at all on the per-event path.
-  VirtualTime cursor_ts = kTimeZero;
-  LpId cursor_lp = 0;
-  bool have_cursor = false;
-  for (;;) {
-    VirtualTime ts = kTimeInf;
-    LpId lp = 0;
-    bool found = false;
-    for (const LpId cand : w.owned) {
-      const VirtualTime k = key_[cand];
-      if (k == kTimeInf) continue;
-      if (have_cursor &&
-          (k < cursor_ts || (k == cursor_ts && cand <= cursor_lp)))
-        continue;  // already visited this round
-      if (!found || k < ts || (k == ts && cand < lp)) {
-        ts = k;
-        lp = cand;
-        found = true;
-      }
-    }
-    if (!found) break;
+  // Pop owned LPs in ascending (next_ts, lp) order off the worker's ready
+  // heap.  A blocked LP parks until a delivery or the next round re-arms it,
+  // so each pass costs O(log n) per LP it touches, not a walk of `owned`.
+  ReadyQueue& q = w.ready;
+  q.begin_pass();
+  while (!q.empty()) {
+    const VirtualTime ts = q.top_key();
     if (ts.pt > config_.until) break;  // later keys are even larger
-    cursor_ts = ts;
-    cursor_lp = lp;
-    have_cursor = true;
+    const LpId lp = q.top();
     const Eligibility e = lps_[lp].peek(safe_bound_, config_.until);
-    if (e == Eligibility::kBlocked) {
+    if (e != Eligibility::kReady) {
+      // A finite cached key within the horizon is never kIdle.
+      assert(e == Eligibility::kBlocked);
       lps_[lp].note_blocked();
+      q.park_top();
       continue;
     }
-    if (e == Eligibility::kIdle) continue;
     ThreadedRouter router(*this, wi);
     double exec_start = 0.0;
     VSIM_TRACE(if (trace_ != nullptr) exec_start = tnow());
@@ -354,9 +348,15 @@ bool ThreadedEngine::try_process_one(std::size_t wi) {
 void ThreadedEngine::worker_main(std::size_t wi) {
   Worker& w = *workers_[wi];
   std::uint32_t idle_spins = 0;
+  // After every round a worker runs one event slice before it honours a
+  // round another worker requested.  Without it, a worker that sees the
+  // request at the top of its loop enters the next round having processed
+  // nothing, and a descheduled busy worker turns into a string of empty
+  // rounds that the stall counter reads as deadlock.
+  bool owes_slice = true;
 
   while (!done_.load(std::memory_order_acquire)) {
-    if (!round_requested_.load(std::memory_order_acquire)) {
+    if (owes_slice || !round_requested_.load(std::memory_order_acquire)) {
       ++w.ops;
       // Safety-net flush: the end-of-iteration flush below publishes all of
       // this iteration's sends, so this is a no-op unless some round-phase
@@ -381,9 +381,10 @@ void ThreadedEngine::worker_main(std::size_t wi) {
           break;
         }
         if (w.events_since_round >= config_.gvt_interval ||
-            round_requested_.load(std::memory_order_acquire))
+            (!owes_slice && round_requested_.load(std::memory_order_acquire)))
           break;
       }
+      owes_slice = false;
       if (crash_now) {
         // Crash-stop: raise the flag first (it must be visible to whoever
         // our leave() releases from a barrier), then withdraw and vanish.
@@ -393,6 +394,7 @@ void ThreadedEngine::worker_main(std::size_t wi) {
         });
         crashed_[wi].store(true, std::memory_order_release);
         crash_count_.fetch_add(1, std::memory_order_relaxed);
+        set_idle(w, true);  // a dead worker never blocks the all-idle rule
         round_requested_.store(true, std::memory_order_release);
         barrier_->leave();
         return;
@@ -407,13 +409,22 @@ void ThreadedEngine::worker_main(std::size_t wi) {
       flush_outboxes(wi);
       if (processed || got_mail) {
         idle_spins = 0;
-      } else if (++idle_spins > 16) {
-        // Idle long enough: force a synchronisation round so GVT (and with
-        // it termination / deadlock detection) makes progress.  Workers
-        // yield rather than block between iterations -- handoff gaps in
-        // event-parallel workloads are far shorter than a sleep/wake round
-        // trip, and the forced round bounds the spinning.
-        round_requested_.store(true, std::memory_order_release);
+        set_idle(w, false);
+      } else if (++idle_spins > kIdleSpins) {
+        // Idle long enough.  Force a synchronisation round only when GVT
+        // is what this worker waits for -- it has parked LPs -- or when
+        // every live worker is idle, so termination and deadlock detection
+        // still make progress.  Otherwise some worker is busy and its own
+        // gvt_interval rounds advance GVT; forcing rounds here would only
+        // stall it at barriers.  Workers yield rather than block between
+        // iterations: handoff gaps in event-parallel workloads are far
+        // shorter than a sleep/wake round trip.
+        set_idle(w, true);
+        if (w.ready.parked_count() > 0 ||
+            idle_workers_.load(std::memory_order_acquire) == workers_.size())
+          round_requested_.store(true, std::memory_order_release);
+        else
+          std::this_thread::yield();
       } else {
         std::this_thread::yield();
       }
@@ -463,15 +474,13 @@ void ThreadedEngine::worker_main(std::size_t wi) {
         if (empty) break;
       }
       // Local minimum over owned LPs: the per-worker leg of the two-level
-      // GVT reduction (each worker scans only its own LPs in parallel, the
-      // coordinator merges P candidates), so the per-round serial cost is
-      // O(P), not O(P x LP).  The scan-items metric counts the candidates
-      // this worker touched; summed over workers it grows with the LP count
-      // per round, and with clustering "LP count" means fused clusters.
-      VirtualTime local_min = kTimeInf;
-      for (const LpId lp : w.owned)
-        local_min = std::min(local_min, key_[lp]);
-      metrics_.shard(wi).inc(obs::Metric::kGvtScanItems, w.owned.size());
+      // GVT reduction (the coordinator merges P candidates).  It reads the
+      // heap top and the parked keys, so the scan-items metric grows with
+      // the blocked-LP count, not with the owned count.
+      const VirtualTime local_min = w.ready.min_key();
+      metrics_.shard(wi).inc(obs::Metric::kGvtScanItems,
+                             (w.ready.empty() ? 0 : 1) +
+                                 w.ready.parked_count());
       {
         std::lock_guard<std::mutex> lock(gvt_mutex_);
         gvt_candidate_ = std::min(gvt_candidate_, local_min);
@@ -561,18 +570,25 @@ void ThreadedEngine::worker_main(std::size_t wi) {
     barrier_->arrive_and_wait();
     if (!crash_pending) {
       // Fossil collect and adapt under the new GVT.  Each worker is its own
-      // adaptation scope: the demotion budget drains in this worker's fixed
-      // owned-set order, independent of the other threads' progress.
+      // adaptation scope: the demotion budget drains in ascending LP id,
+      // independent of the other threads' progress.  Only dirty LPs are
+      // visited (ReadyQueue::take_dirty): for any other LP the visit is a
+      // no-op, so the sweep costs O(activity), not O(owned).
       const VirtualTime gvt = safe_bound_;
       ThreadedRouter router(*this, wi);
       AdaptController adapt(config_.adapt, config_.num_workers);
-      adapt.begin_round(w.owned.size());
-      for (LpId lp : w.owned) {
+      adapt.begin_round(w.ready.size());
+      // Parked LPs' blocked polls land before adapt() reads them.
+      w.ready.settle_credits(
+          [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
+      w.ready.take_dirty(w.sweep);
+      for (const LpId lp : w.sweep) {
         lps_[lp].fossil_collect(done_ ? kTimeInf : gvt, router);
+        bool deferred = false;
         if (config_.configuration == Configuration::kDynamic) {
           const AdaptDecision d = adapt.adapt(lps_[lp]);
-          if (d.action == AdaptAction::kDeferred)
-            metrics_.shard(wi).inc(obs::Metric::kAdaptDeferrals);
+          deferred = d.action == AdaptAction::kDeferred;
+          if (deferred) metrics_.shard(wi).inc(obs::Metric::kAdaptDeferrals);
           VSIM_TRACE(if (trace_ != nullptr && d.action != AdaptAction::kNone) {
             trace_->instant(wi, "adapt", to_string(d.action), tnow(), lp,
                             "waste_pct",
@@ -583,9 +599,13 @@ void ThreadedEngine::worker_main(std::size_t wi) {
         }
         if (config_.strategy == ConservativeStrategy::kNullMessage)
           send_null_messages_for(wi, lp);
+        if (lps_[lp].round_visit_pending() || deferred) w.ready.touch(lp);
       }
+      metrics_.shard(wi).inc(obs::Metric::kRoundLpVisits, w.sweep.size());
+      w.ready.rearm();  // the new bound may unblock every parked LP
     }
     w.events_since_round = 0;
+    owes_slice = true;
     barrier_->arrive_and_wait();
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->complete(wi, "gvt", "gvt", round_start, tnow() - round_start);
@@ -597,7 +617,8 @@ void ThreadedEngine::worker_main(std::size_t wi) {
   // release/acquire pair that ended the loop).
   if (failed_) return;
   ThreadedRouter router(*this, wi);
-  for (LpId lp : w.owned) lps_[lp].fossil_collect(kTimeInf, router);
+  for (LpId lp = 0; lp < lps_.size(); ++lp)
+    if (partition_[lp] == wi) lps_[lp].fossil_collect(kTimeInf, router);
 }
 
 std::size_t ThreadedEngine::first_live_worker() const {
@@ -693,12 +714,10 @@ bool ThreadedEngine::coordinator_recover() {
     wp->inbox.clear();
     for (auto& buf : wp->outbox) buf.clear();
     wp->events_since_round = 0;
-    wp->owned.clear();
+    wp->ready.reset(lps_.size());
   }
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    key_[id] = lps_[id].next_ts();
-    workers_[partition_[id]]->owned.push_back(id);
-  }
+  for (LpId id = 0; id < lps_.size(); ++id)
+    workers_[partition_[id]]->ready.add(id, lps_[id].next_ts());
   safe_bound_ = last_gvt_ = last_ckpt_gvt_ = ck->gvt;
   std::uint64_t total_events = 0;
   for (const auto& wp : workers_) total_events += wp->stats.events;
@@ -717,6 +736,8 @@ void ThreadedEngine::coordinator_checkpoint(std::size_t coord,
   ThreadedRouter router(*this, coord);
   for (LpId id = 0; id < lps_.size(); ++id) {
     lps_[id].fossil_collect(gvt, router);
+    if (lps_[id].history_size() == 0) continue;  // pending set unchanged
+    credit_parked(partition_[id], id);
     lps_[id].rollback_all_deferred();
     refresh_key(partition_[id], id);
   }
@@ -762,7 +783,8 @@ void ThreadedEngine::coordinator_rebalance(std::size_t coord) {
   for (const partition::Migration& mv : plan.moves) {
     Worker& src = *workers_[mv.from];
     Worker& dst = *workers_[mv.to];
-    src.owned.erase(std::find(src.owned.begin(), src.owned.end(), mv.lp));
+    credit_parked(mv.from, mv.lp);
+    src.ready.remove(mv.lp);
     // Pack through the checkpoint codec: undo speculation with deferred
     // cancellation (no anti-messages, the drained network stays quiescent;
     // re-execution settles the deferred sends as suppressed resends), then
@@ -782,8 +804,7 @@ void ThreadedEngine::coordinator_rebalance(std::size_t coord) {
     const LpCheckpoint ck = lps_[mv.lp].make_checkpoint();
     partition_[mv.lp] = mv.to;
     lps_[mv.lp].restore_from(ck);
-    key_[mv.lp] = lps_[mv.lp].next_ts();
-    dst.owned.push_back(mv.lp);
+    dst.ready.add(mv.lp, lps_[mv.lp].next_ts());
     metrics_.shard(coord).inc(obs::Metric::kMigrations);
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->instant(coord, "lb", "migrate", tnow(), mv.lp, "to",

@@ -11,7 +11,8 @@
 //
 // This engine is the production runtime on real multiprocessors; the
 // machine-model engine (machine.h) executes the same LpRuntime protocol
-// deterministically for speedup studies on this single-core container.
+// deterministically, so its speedups reproduce the paper's figures
+// independently of the host's core count and load.
 #pragma once
 
 #include <atomic>
@@ -30,6 +31,7 @@
 #include "pdes/lp_runtime.h"
 #include "pdes/machine.h"  // Partition
 #include "pdes/mailbox.h"
+#include "pdes/ready_queue.h"
 #include "pdes/stats.h"
 #include "pdes/transport.h"
 
@@ -54,15 +56,18 @@ class ThreadedEngine {
   [[nodiscard]] const Partition& partition() const { return partition_; }
 
  private:
-  /// Cache-line aligned so two workers' hot scheduler state (owned list,
+  /// Cache-line aligned so two workers' hot scheduler state (ready queue,
   /// inbox head, op counters) never share a line; the inbox head is the
   /// only field other workers touch.
   struct alignas(64) Worker {
-    /// LPs this worker owns.  The scheduler has no sorted ready-queue: it
-    /// selection-scans `owned` against the engine's cached per-LP keys
-    /// (key_), which for the few LPs a worker owns is cheaper than the
-    /// node churn of an ordered set on every delivery.
-    std::vector<LpId> owned;
+    /// The LPs this worker owns, as an indexed ready heap, a parked list and
+    /// a dirty set (ready_queue.h).  Selection, the local GVT minimum and
+    /// the round's fossil/adapt sweep all go through it.
+    ReadyQueue ready;
+    /// Reused scratch for the round's dirty-LP sweep.
+    std::vector<LpId> sweep;
+    /// Counted in idle_workers_ (idle past the spin limit, or crashed).
+    bool idle = false;
     /// Incoming packets, published by other workers as whole batches on
     /// per-sender lanes (sized to num_workers in the engine constructor).
     BatchMailbox inbox;
@@ -84,6 +89,9 @@ class ThreadedEngine {
   void worker_main(std::size_t wi);
   void deliver(std::size_t wi, Event ev);
   void refresh_key(std::size_t wi, LpId lp);
+  /// Charges a parked LP the blocked polls it sat out (ReadyQueue credit).
+  void credit_parked(std::size_t wi, LpId lp);
+  void set_idle(Worker& w, bool idle);
   bool try_process_one(std::size_t wi);
   std::size_t drain_own_mailbox(std::size_t wi);
   /// Publishes every non-empty outbox buffer of `wi` as one batch into the
@@ -122,7 +130,7 @@ class ThreadedEngine {
   /// Runs inside the round's exclusive section -- network drained to
   /// quiescence, every other worker parked -- and migrates a bounded set of
   /// LPs by packing each through the checkpoint codec and retargeting
-  /// ownership (owned lists + partition_); the barrier that releases the
+  /// ownership (ready queues + partition_); the barrier that releases the
   /// other workers publishes the new mapping to their routers.
   void coordinator_rebalance(std::size_t coord);
   /// Releases buffered commit-hook invocations in LP-id order.
@@ -134,13 +142,16 @@ class ThreadedEngine {
   CommitHook hook_;
 
   std::vector<LpRuntime> lps_;
-  std::vector<VirtualTime> key_;
   std::vector<VirtualTime> last_promise_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   // Round coordination.
   std::atomic<bool> round_requested_{false};
   std::atomic<bool> done_{false};
+  /// Workers idle past the spin limit, crashed ones included.  An idle
+  /// worker without parked LPs forces a round only when this reaches the
+  /// worker count: until then a busy worker's rounds advance GVT for it.
+  std::atomic<std::size_t> idle_workers_{0};
   std::atomic<std::uint64_t> drained_in_pass_{0};
   std::mutex gvt_mutex_;
   VirtualTime gvt_candidate_ = kTimeInf;

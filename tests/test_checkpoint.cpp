@@ -422,6 +422,47 @@ TEST(CheckpointThreaded, CrashWithRebalancingMatchesOracle) {
   EXPECT_EQ(TraceRecorder::diff(*ref.recorder, *par.recorder), "");
 }
 
+// Migration and crash recovery while the scheduler holds parked LPs:
+// all-conservative LPs block until GVT passes them, so the ready queues
+// always hold parked LPs when the coordinator migrates one (its parked
+// credit and queue slot move with it) or rebuilds every queue after the
+// crash.  Checkpoint capture un-parks the LPs whose history it rolls back.
+TEST(CheckpointThreaded, CrashWithRebalancingWhileParkedMatchesOracle) {
+  testutil::Watchdog wd(
+      "CheckpointThreaded.CrashWithRebalancingWhileParkedMatchesOracle",
+      std::chrono::seconds(180));
+  const PhysTime until = 600;
+  for (const Configuration config :
+       {Configuration::kAllConservative, Configuration::kMixed}) {
+    Built ref = run_oracle(&build_gates, until);
+    Built par = build_gates();
+    RunConfig rc;
+    rc.num_workers = 3;
+    rc.configuration = config;
+    rc.until = until;
+    rc.gvt_interval = 16;
+    rc.checkpoint.period = 2;
+    rc.rebalance.period = 1;
+    rc.rebalance.imbalance_trigger = 0.05;
+    rc.transport.faults.crashes.push_back(WorkerCrash{1, 40});
+    ThreadedEngine eng(*par.graph,
+                       partition::blocks(par.graph->size(), rc.num_workers),
+                       rc);
+    eng.set_commit_hook(par.recorder->hook());
+    const RunStats st = eng.run();
+
+    ASSERT_FALSE(st.config_error) << st.config_error->str();
+    EXPECT_FALSE(st.deadlocked);
+    EXPECT_FALSE(st.recovery_error) << st.recovery_error->str();
+    EXPECT_EQ(st.checkpoint.crashes, 1u);
+    EXPECT_EQ(st.checkpoint.recoveries, 1u);
+    EXPECT_GT(st.metrics.counter(obs::Metric::kBlockedPolls), 0u);
+    EXPECT_GT(st.metrics.counter(obs::Metric::kMigrations), 0u);
+    for (const std::uint32_t w : eng.partition()) EXPECT_NE(w, 1u);
+    EXPECT_EQ(TraceRecorder::diff(*ref.recorder, *par.recorder), "");
+  }
+}
+
 // Checkpointing with no crash at all must be protocol-transparent: the
 // rollback-all-deferred capture may not perturb the committed trace.
 TEST(CheckpointTransparency, PeriodicCheckpointsDoNotPerturbTrace) {

@@ -591,8 +591,13 @@ TEST(Distributed, RecoveryBudgetExhaustionUnwindsStructured) {
   RunConfig rc = dist_config(250);
   rc.checkpoint.period = 2;
   rc.checkpoint.max_recoveries = 1;
+  // The second death must come after the first recovery: two deaths that
+  // land before the coordinator acts are retired by ONE recovery, which
+  // the budget allows.  Rank 2 processes 1000+ events in this run, so its
+  // 400th comes long after rank 1's 30th and the recovery that follows.
+  // At 60 it raced death detection and lost in about one run of ten.
   rc.transport.faults.crashes.push_back(WorkerCrash{1, 30});
-  rc.transport.faults.crashes.push_back(WorkerCrash{2, 60});
+  rc.transport.faults.crashes.push_back(WorkerCrash{2, 400});
   const RunStats st = run_distributed(
       par, rc, "Distributed.RecoveryBudgetExhaustion");
   ASSERT_FALSE(st.config_error.has_value()) << st.config_error->str();
