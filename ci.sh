@@ -105,6 +105,18 @@ python3 tools/bench_diff.py --validate "$ARTIFACTS/BENCH_microbench.json" \
   "$ARTIFACTS/BENCH_ablation.json" "$ARTIFACTS/BENCH_codegen.json"
 python3 tools/bench_diff.py bench/baseline "$ARTIFACTS"
 
+echo "==> Model identity: bench_ablation rows equal the committed baseline"
+# The machine model is deterministic, so its rows must reproduce the
+# baseline field for field -- every speedup and every counter, not just a
+# speedup within tolerance.  A changed counter or checkpointing row means
+# the modelled protocol changed; regenerate bench/baseline deliberately.
+# Every section but `clustering` (minutes on its own).
+mkdir -p "$ARTIFACTS/model"
+VSIM_BENCH_DIR="$ARTIFACTS/model" ./build/bench/bench_ablation gvt_interval \
+  partitioning cancellation transport_faults checkpointing history_cap \
+  placement adaptation > /dev/null
+python3 tools/bench_diff.py --exact bench/baseline "$ARTIFACTS/model"
+
 echo "==> AddressSanitizer build"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVSIM_SANITIZE=address > /dev/null

@@ -94,8 +94,8 @@ enum class Metric : std::uint16_t {
   kAdaptPins,              ///< adapt.pinned — LPs pinned conservative
   kAdaptDeferrals,         ///< adapt.deferrals — demotions deferred by budget
   /// engine.round_lp_visits — LPs the GVT rounds' fossil/adapt sweeps
-  /// visited (threaded and distributed: dirty LPs only, so it tracks
-  /// activity, not rounds x LPs).
+  /// visited (machine model: every LP every round; threaded and
+  /// distributed: dirty LPs only, so it tracks activity, not rounds x LPs).
   kRoundLpVisits,
   kCount
 };

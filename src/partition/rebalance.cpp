@@ -125,10 +125,10 @@ RebalancePlan plan_rebalance(const pdes::LpGraph& graph,
       if (cur[lp] != src) continue;
       const double w = lp_work[lp];
       if (w >= gap) continue;  // would overshoot: inverts the imbalance
-      if (w < cfg.min_gain * gap) continue;  // not worth a migration
+      if (w < kMinGain * gap) continue;  // not worth a migration
       const double score =
           std::abs(w - target) +
-          cfg.cut_weight * unit *
+          kCutWeight * unit *
               cut_delta(graph, cur, lp, static_cast<std::uint32_t>(src),
                         static_cast<std::uint32_t>(dst), scratch);
       if (score < best_score) {
@@ -152,8 +152,7 @@ RebalancePlan plan_rebalance(const pdes::LpGraph& graph,
 
 void redistribute_orphans(const pdes::LpGraph& graph, pdes::Partition& part,
                           const std::vector<double>& lp_work,
-                          const std::vector<bool>& alive,
-                          const pdes::RebalanceConfig& cfg) {
+                          const std::vector<bool>& alive) {
   Loads l = worker_loads(part, lp_work, alive);
   if (l.n_alive == 0) return;
   double total = 0.0;
@@ -177,7 +176,7 @@ void redistribute_orphans(const pdes::LpGraph& graph, pdes::Partition& part,
       for (pdes::LpId v : scratch)
         if (part[v] == s) affinity += 1.0;
       const double score =
-          l.load[s] + w - cfg.cut_weight * unit * affinity;
+          l.load[s] + w - kCutWeight * unit * affinity;
       if (score < best_score) {
         best_score = score;
         best = s;

@@ -16,7 +16,7 @@
 // "Dynamic load balancing").
 //
 // Algorithm: greedy diffusion with hysteresis.  Score each alive worker's
-// load as the sum of its LPs' work (committed events + rollback_weight x
+// load as the sum of its LPs' work (committed events + kRollbackWeight x
 // undone events); do nothing while (max - min) / avg is below the
 // imbalance_trigger.  Otherwise repeatedly move one LP from the most loaded
 // to the least loaded worker: the LP whose work is closest to half the load
@@ -42,6 +42,16 @@
 #include "pdes/machine.h"  // Partition
 
 namespace vsim::partition {
+
+/// A candidate move must shave at least this fraction of the src/dst load
+/// gap, or it is not worth the migration cost.
+inline constexpr double kMinGain = 0.05;
+/// Weight of undone (rolled-back) events in the per-LP work score;
+/// committed work counts 1.0 per event.
+inline constexpr double kRollbackWeight = 0.5;
+/// Tie-break weight of the cut-size delta a move would cause: among
+/// near-equal load moves, prefer the one that cuts fewer channels.
+inline constexpr double kCutWeight = 0.1;
 
 /// One planned migration: move `lp` from worker `from` to worker `to`.
 struct Migration {
@@ -82,7 +92,6 @@ struct RebalancePlan {
 /// counts at least one work unit).
 void redistribute_orphans(const pdes::LpGraph& graph, pdes::Partition& part,
                           const std::vector<double>& lp_work,
-                          const std::vector<bool>& alive,
-                          const pdes::RebalanceConfig& cfg);
+                          const std::vector<bool>& alive);
 
 }  // namespace vsim::partition

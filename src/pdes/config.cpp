@@ -90,9 +90,6 @@ std::optional<ConfigError> validate(const TransportConfig& transport,
                   "retry cap must be >= 1 when reliable delivery is on");
     if (transport.rto <= 0.0)
       return fail("transport.rto", "retransmit timeout must be > 0");
-    if (transport.rto_backoff < 1.0)
-      return fail("transport.rto_backoff",
-                  "backoff factor < 1 would shrink timeouts");
   }
   return std::nullopt;
 }
@@ -181,12 +178,6 @@ std::optional<ConfigError> validate(const RunConfig& config) {
                   "rebalancing is enabled but no moves are allowed");
     if (config.rebalance.imbalance_trigger < 0.0)
       return fail("rebalance.imbalance_trigger", "must be >= 0");
-    if (config.rebalance.min_gain < 0.0)
-      return fail("rebalance.min_gain", "must be >= 0");
-    if (config.rebalance.rollback_weight < 0.0)
-      return fail("rebalance.rollback_weight", "must be >= 0");
-    if (config.rebalance.cut_weight < 0.0)
-      return fail("rebalance.cut_weight", "must be >= 0");
   }
   return std::nullopt;
 }

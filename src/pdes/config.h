@@ -129,19 +129,20 @@ struct TransportConfig {
   std::uint32_t max_retries = 100;
   /// Initial retransmit timeout in engine time units (virtual clock for the
   /// machine engine, scheduler loop iterations for the threaded engine),
-  /// doubled via `rto_backoff` after every retry.
+  /// doubled after every retry.
   double rto = 16.0;
-  double rto_backoff = 2.0;
 };
 
 /// What to do with a dead worker's LPs after recovery.
 enum class RecoveryPolicy : std::uint8_t {
   /// Re-instantiate the lost worker in place and hand its partition back
-  /// (models a node restart / hot spare).  The threaded engine cannot
-  /// respawn OS threads mid-run and silently degrades to kRedistribute.
+  /// (models a node restart / hot spare).  Machine engine only: the
+  /// threaded and distributed engines cannot respawn a thread or a rank
+  /// mid-run and always redistribute.
   kRestart,
-  /// Spread the dead worker's LPs round-robin across the survivors and
-  /// retire the worker permanently (graceful degradation).
+  /// Retire the dead worker permanently and deal its LPs to the survivors
+  /// with the rebalancer's load- and cut-aware placement
+  /// (partition::redistribute_orphans; graceful degradation).
   kRedistribute,
 };
 
@@ -312,15 +313,8 @@ struct RebalanceConfig {
   /// Hysteresis: do nothing while (max-min)/avg worker load is below this,
   /// so a placement within tolerance never thrashes.
   double imbalance_trigger = 0.25;
-  /// A candidate move must shave at least this fraction of the src/dst load
-  /// gap, or it is not worth the migration cost.
-  double min_gain = 0.05;
-  /// Weight of undone (rolled-back) events in the per-LP work score;
-  /// committed work counts 1.0 per event.
-  double rollback_weight = 0.5;
-  /// Tie-break weight of the cut-size delta a move would cause: among
-  /// near-equal load moves, prefer the one that cuts fewer channels.
-  double cut_weight = 0.1;
+  // The move-gain floor, rollback weight and cut tie-break weight are fixed
+  // constants of the planner (partition/rebalance.h).
 
   [[nodiscard]] bool enabled() const { return period > 0; }
 };

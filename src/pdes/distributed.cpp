@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
@@ -19,8 +18,6 @@
 #include "net/node.h"
 #include "net/socket.h"
 #include "net/socket_transport.h"
-#include "partition/rebalance.h"
-#include "pdes/adaptive.h"
 
 namespace vsim::pdes {
 
@@ -143,21 +140,48 @@ TransportCounters decode_transport_counters(bytes::Reader& r) {
   return c;
 }
 
-/// Sums per-link transport counters across ranks.  Safe without dedup: a
-/// link's send-side rows are only ever touched on the source rank and its
-/// receive-side rows on the destination rank, so the per-rank structs are
-/// disjoint.
-void add_transport_counters(TransportCounters& into,
-                            const TransportCounters& from) {
-  into.data_sent += from.data_sent;
-  into.acks_sent += from.acks_sent;
-  into.delivered += from.delivered;
-  into.dropped += from.dropped;
-  into.duplicated += from.duplicated;
-  into.reordered += from.reordered;
-  into.retransmits += from.retransmits;
-  into.dup_discarded += from.dup_discarded;
-  into.buffered += from.buffered;
+void encode_transport_error(bytes::Writer& w, const TransportError& err) {
+  w.u32(err.src_worker);
+  w.u32(err.dst_worker);
+  w.u64(err.seq);
+  w.u32(err.attempts);
+  w.str(err.message);
+}
+
+TransportError decode_transport_error(bytes::Reader& r) {
+  TransportError err;
+  err.src_worker = r.u32();
+  err.dst_worker = r.u32();
+  err.seq = r.u64();
+  err.attempts = r.u32();
+  err.message = r.str();
+  return err;
+}
+
+/// Blocked-LP diagnostics of a deadlock report.
+void encode_diag(bytes::Writer& w,
+                 const std::vector<DeadlockReport::LpDiag>& diag) {
+  w.u64(diag.size());
+  for (const DeadlockReport::LpDiag& d : diag) {
+    w.u32(d.id);
+    w.vt(d.next_ts);
+    w.vt(d.min_channel_clock);
+    w.u64(d.pending);
+    w.u8(static_cast<std::uint8_t>(d.mode));
+  }
+}
+
+void decode_diag(bytes::Reader& r, std::vector<DeadlockReport::LpDiag>* out) {
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; r.ok() && i < n; ++i) {
+    DeadlockReport::LpDiag d;
+    d.id = r.u32();
+    d.next_ts = r.vt();
+    d.min_channel_clock = r.vt();
+    d.pending = static_cast<std::size_t>(r.u64());
+    d.mode = static_cast<SyncMode>(r.u8());
+    out->push_back(d);
+  }
 }
 
 /// Full RunStats codec for the kFinal pipe frame: the terminating
@@ -175,25 +199,12 @@ void encode_run_stats(bytes::Writer& w, const RunStats& st,
   w.f64(st.makespan);
   encode_transport_counters(w, st.transport);
   w.u8(st.transport_error ? 1 : 0);
-  if (st.transport_error) {
-    w.u32(st.transport_error->src_worker);
-    w.u32(st.transport_error->dst_worker);
-    w.u64(st.transport_error->seq);
-    w.u32(st.transport_error->attempts);
-    w.str(st.transport_error->message);
-  }
+  if (st.transport_error) encode_transport_error(w, *st.transport_error);
   w.u8(st.deadlock_report ? 1 : 0);
   if (st.deadlock_report) {
     w.vt(st.deadlock_report->gvt);
     w.u8(st.deadlock_report->transport_starvation ? 1 : 0);
-    w.u64(st.deadlock_report->blocked.size());
-    for (const DeadlockReport::LpDiag& d : st.deadlock_report->blocked) {
-      w.u32(d.id);
-      w.vt(d.next_ts);
-      w.vt(d.min_channel_clock);
-      w.u64(d.pending);
-      w.u8(static_cast<std::uint8_t>(d.mode));
-    }
+    encode_diag(w, st.deadlock_report->blocked);
   }
   w.u64(st.checkpoint.checkpoints);
   w.u64(st.checkpoint.crashes);
@@ -236,29 +247,12 @@ bool decode_run_stats(bytes::Reader& r, RunStats* st, Partition* part) {
   st->deadlocked = r.u8() != 0;
   st->makespan = r.f64();
   st->transport = decode_transport_counters(r);
-  if (r.u8() != 0) {
-    TransportError err;
-    err.src_worker = r.u32();
-    err.dst_worker = r.u32();
-    err.seq = r.u64();
-    err.attempts = r.u32();
-    err.message = r.str();
-    st->transport_error = std::move(err);
-  }
+  if (r.u8() != 0) st->transport_error = decode_transport_error(r);
   if (r.u8() != 0) {
     DeadlockReport report;
     report.gvt = r.vt();
     report.transport_starvation = r.u8() != 0;
-    const std::uint64_t nblocked = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < nblocked; ++i) {
-      DeadlockReport::LpDiag d;
-      d.id = r.u32();
-      d.next_ts = r.vt();
-      d.min_channel_clock = r.vt();
-      d.pending = static_cast<std::size_t>(r.u64());
-      d.mode = static_cast<SyncMode>(r.u8());
-      report.blocked.push_back(d);
-    }
+    decode_diag(r, &report.blocked);
     st->deadlock_report = std::move(report);
   }
   st->checkpoint.checkpoints = r.u64();
@@ -296,45 +290,25 @@ bool decode_run_stats(bytes::Reader& r, RunStats* st, Partition* part) {
 
 }  // namespace
 
-/// Seeds the initial event set before any transport exists.  Enqueueing a
-/// first event into a fresh LP can neither roll anything back nor commit,
-/// so the router must never be exercised.
-class DistributedEngine::SeedRouter final : public Router {
- public:
-  void route(Event&&) override { assert(!"initial seed routed an event"); }
-  void commit(const Event&) override {}
-};
-
 class DistributedEngine::DistRouter final : public Router {
  public:
   explicit DistRouter(DistributedEngine& eng) : eng_(eng) {}
 
+  /// The rank's single metrics shard; ranks do not trace.
+  [[nodiscard]] std::size_t worker() const { return 0; }
+  [[nodiscard]] double clock() const { return 0.0; }
+
   void route(Event&& ev) override {
     const std::uint32_t owner = eng_.partition_[ev.dst];
-    if (owner == eng_.rank_) {
-      ++eng_.wstats_.messages_sent_local;
-      eng_.metrics_.shard(0).inc(obs::Metric::kMessagesLocal);
-      eng_.deliver(std::move(ev));
-      return;
-    }
-    if (ev.kind == kNullMsgKind) {
-      ++eng_.wstats_.null_messages;
-      eng_.metrics_.shard(0).inc(obs::Metric::kNullMessages);
-    } else {
-      ++eng_.wstats_.messages_sent_remote;
-      eng_.metrics_.shard(0).inc(obs::Metric::kMessagesRemote);
-    }
-    eng_.net_->send(eng_.rank_, owner, std::move(ev), eng_.nowd());
+    eng_.count_send(eng_.self_.stats, 0, owner == eng_.rank_,
+                    ev.kind == kNullMsgKind);
+    if (owner == eng_.rank_)
+      eng_.deliver(eng_.self_, std::move(ev), *this);
+    else
+      eng_.net_->send(eng_.rank_, owner, std::move(ev), eng_.nowd());
   }
 
-  void commit(const Event& ev) override {
-    if (!eng_.want_commits_) return;
-    // Every rank buffers: commits validated below GVT reach the supervisor
-    // pipe only from the coordinator, and only once a replicated checkpoint
-    // covers them (or at termination), so neither a recovery that rewinds
-    // the cluster nor a coordinator failover can double-report one.
-    eng_.commit_buf_[ev.dst].push_back(ev);
-  }
+  void commit(const Event& ev) override { eng_.commit(ev); }
 
  private:
   DistributedEngine& eng_;
@@ -342,11 +316,15 @@ class DistributedEngine::DistRouter final : public Router {
 
 DistributedEngine::DistributedEngine(LpGraph& graph, Partition partition,
                                      RunConfig config)
-    : graph_(graph), partition_(std::move(partition)), config_(config) {
-  config_error_ = validate_distributed(config_);
+    : EngineCore(graph, std::move(partition), config,
+                 validate_distributed(config), 1) {
   if (config_error_) return;
-  assert(partition_.size() == graph_.size());
   nranks_ = config_.num_workers;
+  // Every rank buffers: commits validated below GVT reach the supervisor
+  // pipe only from the coordinator, and only once a replicated checkpoint
+  // covers them (or at termination), so neither a recovery that rewinds
+  // the cluster nor a coordinator failover can double-report one.
+  buffer_commits_ = true;
   // The real wire loses and replays frames across reconnects; only the
   // reliable channel layer can hand the engine an exactly-once stream.
   config_.transport.reliable = true;
@@ -362,22 +340,6 @@ DistributedEngine::DistributedEngine(LpGraph& graph, Partition partition,
     config_.net.reconnect_max_ms = scale(config_.net.reconnect_max_ms);
   }
   replicas_ = std::min<std::uint32_t>(config_.checkpoint.replicas, nranks_);
-
-  lps_.reserve(graph_.size());
-  last_promise_.assign(graph_.size(), kTimeZero);
-  for (LpId id = 0; id < graph_.size(); ++id) {
-    lps_.emplace_back(&graph_.lp(id), config_.ordering, config_.strategy,
-                      initial_mode(config_.configuration, graph_.lp(id)),
-                      config_.max_history, config_.use_lookahead,
-                      config_.cancellation);
-    if (config_.strategy == ConservativeStrategy::kNullMessage) {
-      for (LpId src : graph_.fan_in(id)) lps_[id].add_input_channel(src);
-    }
-  }
-
-  ft_on_ = config_.checkpoint.period > 0 ||
-           config_.transport.faults.crash_active();
-  retired_.assign(nranks_, false);
   dead_pending_.assign(nranks_, false);
   pids_.assign(nranks_, -1);
   reaped_.assign(nranks_, false);
@@ -390,9 +352,6 @@ DistributedEngine::DistributedEngine(LpGraph& graph, Partition partition,
   rank_snapshots_.resize(nranks_);
   rank_snapshot_got_.assign(nranks_, false);
   lp_work_.assign(graph_.size(), 0.0);
-  if (ft_on_)
-    store_ = CheckpointStore(config_.checkpoint.keep,
-                             config_.checkpoint.spill_dir);
 
   if (config_.net.socket_dir.empty() && !config_.net.tcp) {
     const char* tmp = std::getenv("TMPDIR");
@@ -427,8 +386,6 @@ double DistributedEngine::nowd() const {
   return static_cast<double>(net::now_ms());
 }
 
-VirtualTime DistributedEngine::local_min() const { return ready_.min_key(); }
-
 void DistributedEngine::note_progress(VirtualTime gvt) {
   store_relaxed(dump_gvt_pt_, static_cast<std::int64_t>(gvt.pt));
   store_relaxed(dump_gvt_lt_, static_cast<std::int64_t>(gvt.lt));
@@ -460,21 +417,13 @@ bool DistributedEngine::is_successor(std::uint32_t r) const {
   return std::find(s.begin(), s.end(), r) != s.end();
 }
 
-void DistributedEngine::refresh_key(LpId lp) {
-  ready_.update(lp, lps_[lp].next_ts());
-}
-
-void DistributedEngine::credit_parked(LpId lp) {
-  if (const std::uint64_t n = ready_.take_credit(lp)) lps_[lp].note_blocked(n);
-}
-
 void DistributedEngine::adopt_partition() {
   owned_.clear();
-  ready_.reset(graph_.size());
+  self_.ready.reset(graph_.size());
   for (LpId id = 0; id < graph_.size(); ++id) {
     if (partition_[id] != rank_) continue;
     owned_.push_back(id);
-    ready_.add(id, lps_[id].next_ts());
+    self_.ready.add(id, lps_[id].next_ts());
   }
 }
 
@@ -491,16 +440,11 @@ void DistributedEngine::setup_stack_or_die() {
     return;
   }
   wire_ = std::make_unique<net::SocketTransport>(*node_);
-  Transport* top = wire_.get();
-  if (config_.transport.faults.active()) {
-    faulty_ = std::make_unique<FaultyTransport>(*wire_, nranks_,
-                                                config_.transport.faults);
-    top = faulty_.get();
-  }
-  net_ = std::make_unique<ChannelStack>(*top, nranks_, config_.transport);
-  if (faulty_) net_->attach_faulty(faulty_.get());
-  net_->set_deliver(
-      [this](std::uint32_t, Event&& ev) { deliver(std::move(ev)); });
+  assemble_transport(*wire_, nranks_);
+  net_->set_deliver([this](std::uint32_t, Event&& ev) {
+    DistRouter router(*this);
+    deliver(self_, std::move(ev), router);
+  });
 
   // Wait for the full outbound mesh before any protocol traffic: forcing
   // data into half-connected links would burn the reliable layer's retry
@@ -578,77 +522,6 @@ std::size_t DistributedEngine::pump_io(int timeout_ms) {
   return n;
 }
 
-void DistributedEngine::deliver(Event ev) {
-  const LpId dst = ev.dst;
-  assert(partition_[dst] == rank_);
-  const bool is_null = ev.kind == kNullMsgKind;
-  const std::uint64_t rb0 = lps_[dst].stats().rollbacks;
-  const std::uint64_t un0 = lps_[dst].stats().events_undone;
-  credit_parked(dst);  // before a rollback can change the poll class
-  DistRouter router(*this);
-  lps_[dst].enqueue(std::move(ev), router);
-  if (lps_[dst].stats().rollbacks != rb0) {
-    metrics_.shard(0).observe(
-        obs::Hist::kRollbackDepth,
-        static_cast<double>(lps_[dst].stats().events_undone - un0));
-  }
-  refresh_key(dst);
-  if (is_null && config_.strategy == ConservativeStrategy::kNullMessage)
-    send_null_messages_for(dst);
-}
-
-void DistributedEngine::send_null_messages_for(LpId lp) {
-  const VirtualTime promise = lps_[lp].null_promise();
-  if (!(promise > last_promise_[lp])) return;
-  last_promise_[lp] = promise;
-  DistRouter router(*this);
-  for (LpId dst : graph_.fan_out(lp)) {
-    Event n;
-    n.ts = promise;
-    n.src = lp;
-    n.dst = dst;
-    n.kind = kNullMsgKind;
-    router.route(std::move(n));
-  }
-}
-
-bool DistributedEngine::try_process_one() {
-  // Same scheduler as the threaded engine's hot path: pop the ready heap in
-  // (next_ts, lp) order, parking blocked LPs until a delivery or a round.
-  ready_.begin_pass();
-  while (!ready_.empty()) {
-    if (ready_.top_key().pt > config_.until) break;
-    const LpId lp = ready_.top();
-    const Eligibility e = lps_[lp].peek(safe_bound_, config_.until);
-    if (e != Eligibility::kReady) {
-      assert(e == Eligibility::kBlocked);
-      lps_[lp].note_blocked();
-      ready_.park_top();
-      continue;
-    }
-    DistRouter router(*this);
-    wstats_.busy_cost += lps_[lp].process_next(router);
-    ++wstats_.events;
-    ++events_since_round_;
-    store_relaxed(dump_events_, wstats_.events);
-    metrics_.shard(0).inc(obs::Metric::kEventsProcessed);
-    refresh_key(lp);
-    if (config_.strategy == ConservativeStrategy::kNullMessage)
-      send_null_messages_for(lp);
-    return true;
-  }
-  return false;
-}
-
-bool DistributedEngine::maybe_crash() const {
-  // Exact match on the cumulative event count: monotone, so a crash point
-  // replayed after recovery does not re-fire.  (crash_rate is rejected for
-  // distributed runs by validate_distributed.)
-  for (const WorkerCrash& c : config_.transport.faults.crashes)
-    if (c.worker == rank_ && c.after_events == wstats_.events) return true;
-  return false;
-}
-
 void DistributedEngine::capture_fault_ring(std::uint64_t round) {
   if (!faulty_) return;
   fault_ring_[round] = faulty_->capture_links();
@@ -674,8 +547,7 @@ void DistributedEngine::apply_restore(const Checkpoint& ck) {
     const auto it = fault_ring_.find(ck.round);
     if (it != fault_ring_.end()) faulty_->restore_links(it->second);
   }
-  if (want_commits_)
-    for (auto& buf : commit_buf_) buf.clear();
+  for (auto& buf : commit_buf_) buf.clear();
   // Everything belonging to rounds past the restore point is from the
   // abandoned timeline: partial assemblies, retained commit batches, and
   // (crucially) spilled snapshots a later succession could restore from.
@@ -688,7 +560,7 @@ void DistributedEngine::apply_restore(const Checkpoint& ck) {
   if (ft_on_) store_.drop_above(ck.round);
   adopt_partition();
   safe_bound_ = ck.gvt;
-  events_since_round_ = 0;
+  self_.events_since_round = 0;
   in_round_ = false;
 }
 
@@ -751,16 +623,8 @@ RunStats DistributedEngine::run() {
     out.config_error = config_error_;
     return out;
   }
-  want_commits_ = static_cast<bool>(hook_);
-  if (want_commits_ || ft_on_) commit_buf_.resize(graph_.size());
-
-  {
-    SeedRouter seed;
-    for (const Event& ev : graph_.initial_events()) {
-      Event copy = ev;
-      lps_[ev.dst].enqueue(std::move(copy), seed);
-    }
-  }
+  if (hook_) commit_buf_.resize(graph_.size());
+  seed_initial_events();
 
   // Restart path: revive the cluster from the newest durable snapshot in
   // the spill dir, skipping torn/corrupt files.  A dir with no valid
@@ -810,18 +674,16 @@ RunStats DistributedEngine::run() {
     // rewind to even when the first kill precedes the first periodic
     // checkpoint.  A throwaway stack stands in for the per-rank ones (a
     // fresh ChannelStack and FaultyTransport have exactly the cursors every
-    // rank starts from after the fork).
+    // rank starts from after the fork); it is dropped again right below.
     struct NullWire final : Transport {
       void submit(Packet&&, double) override {}
     } null_wire;
-    std::unique_ptr<FaultyTransport> probe_faulty;
-    if (config_.transport.faults.active())
-      probe_faulty = std::make_unique<FaultyTransport>(
-          null_wire, nranks_, config_.transport.faults);
-    const ChannelStack probe_net(null_wire, nranks_, config_.transport);
+    assemble_transport(null_wire, nranks_);
     Checkpoint ck0 = capture_checkpoint(resume_round, safe_bound_, lps_,
-                                        last_promise_, probe_net,
-                                        probe_faulty.get());
+                                        last_promise_, *net_, faulty_.get());
+    if (faulty_) fault_ring_[resume_round] = faulty_->capture_links();
+    net_.reset();
+    faulty_.reset();
     // Probe the byte codecs up front: recovery must be able to ship every
     // LP's state across a process boundary, and failing at the first kill
     // would be a far worse place to find out.  The probe output doubles as
@@ -842,10 +704,9 @@ RunStats DistributedEngine::run() {
       }
       ck0.state_blobs[id] = std::move(tmp);
     }
-    if (probe_faulty) fault_ring_[resume_round] = probe_faulty->capture_links();
     baseline_round_ = resume_round;
     gvt_rounds_ = max_round_seen_ = resume_round;
-    last_gvt_ = last_ckpt_gvt_ = safe_bound_;
+    gate_.rewind(safe_bound_);
     store_.put(std::move(ck0));
     ++ckstats_.checkpoints;
   }
@@ -996,10 +857,11 @@ void DistributedEngine::main_loop() {
     if (in_round_ || recovering_) continue;
 
     bool processed = false;
+    DistRouter router(*this);
     for (std::uint32_t slice = 0; slice < kEventSlice; ++slice) {
-      if (!try_process_one()) break;
+      if (!try_process_one(self_, router)) break;
       processed = true;
-      if (ft_on_ && maybe_crash()) {
+      if (ft_on_ && crash_.fire(rank_, self_.stats.events)) {
         // Crash-stop: vanish without flushing anything, as SIGKILL would.
         ::raise(SIGKILL);
         _exit(9);
@@ -1018,7 +880,7 @@ void DistributedEngine::main_loop() {
       // detection) always advances on a quiet cluster.
       const bool want_round = round_req_ || net_->error().has_value() ||
                               remote_transport_error_.has_value() ||
-                              events_since_round_ >= config_.gvt_interval ||
+                              self_.events_since_round >= config_.gvt_interval ||
                               idle_spins_ >= kIdleSpinRound ||
                               net::now_ms() >= last_round_ms_ + 50;
       if (want_round) {
@@ -1028,7 +890,7 @@ void DistributedEngine::main_loop() {
         if (!keep_going) break;
       }
     } else if (!round_req_sent_ &&
-               (events_since_round_ >= config_.gvt_interval ||
+               (self_.events_since_round >= config_.gvt_interval ||
                 idle_spins_ == kIdleSpinRound)) {
       // Ask the coordinator for a round; once per round keeps the control
       // plane quiet (the coordinator has its own interval trigger too).
@@ -1100,10 +962,7 @@ void DistributedEngine::promote_self() {
   retained_batches_.clear();
   succ_ack_.assign(nranks_, 0);
   last_round_ms_ = net::now_ms();
-  last_total_events_ = ~0ull;  // first post-promotion round never stalls
-  stall_rounds_ = 0;
-  rounds_since_ckpt_ = 0;
-  last_gvt_ = last_ckpt_gvt_ = safe_bound_;
+  gate_.rewind(safe_bound_);  // the first post-promotion round never stalls
 }
 
 void DistributedEngine::abort_replica_lost() {
@@ -1159,8 +1018,7 @@ void DistributedEngine::rank_handle(const ControlMsg& m) {
   }
 }
 
-void DistributedEngine::rank_drain_pass(std::uint64_t round,
-                                        std::uint32_t pass) {
+DistributedEngine::DrainVote DistributedEngine::drain_vote() {
   // Force everything we hold onto the wire -- once per pass, and only when
   // every link is actually up: each force-retransmission bills a retry
   // attempt, and forcing into a reconnecting link would spend the whole
@@ -1174,17 +1032,29 @@ void DistributedEngine::rank_drain_pass(std::uint64_t round,
   while (!node_->all_flushed() && net::now_ms() < deadline) pump_io(1);
   pump_io(0);
 
-  const bool err = net_->error().has_value();
+  DrainVote v;
+  v.got = true;
+  v.error = net_->error().has_value();
+  v.quiescent = v.error || (net_->quiescent() && node_->all_flushed());
   const net::NodeCounters& nc = node_->counters();
+  v.activity = nc.data_frames_sent + nc.data_frames_recv;
+  v.local_min = self_.ready.min_key();
+  v.events = self_.stats.events;
+  return v;
+}
+
+void DistributedEngine::rank_drain_pass(std::uint64_t round,
+                                        std::uint32_t pass) {
+  const DrainVote v = drain_vote();
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
   w.u64(round);
   w.u32(pass);
-  w.u8(err || (net_->quiescent() && node_->all_flushed()) ? 1 : 0);
-  w.u8(err ? 1 : 0);
-  w.u64(nc.data_frames_sent + nc.data_frames_recv);
-  w.vt(local_min());
-  w.u64(wstats_.events);
+  w.u8(v.quiescent ? 1 : 0);
+  w.u8(v.error ? 1 : 0);
+  w.u64(v.activity);
+  w.vt(v.local_min);
+  w.u64(v.events);
   if (pass == 0) {
     // Piggyback a metrics snapshot on the first pass of every round: the
     // coordinator keeps the latest per rank, so observability survives the
@@ -1292,8 +1162,7 @@ void DistributedEngine::rank_apply_recover(const ControlMsg& m) {
   node_->send(coord_, net::FrameType::kRecoverDone, {});
 }
 
-void DistributedEngine::rank_send_stats() {
-  metrics_.merge();  // fold per-event counters before attaching node totals
+void DistributedEngine::fold_node_counters() {
   auto& sh = metrics_.shard(0);
   const net::NodeCounters& nc = node_->counters();
   sh.inc(obs::Metric::kNetFramesSent, nc.frames_sent);
@@ -1302,6 +1171,11 @@ void DistributedEngine::rank_send_stats() {
   sh.inc(obs::Metric::kNetReconnects, nc.reconnects);
   sh.inc(obs::Metric::kNetDisconnects, nc.disconnects);
   sh.inc(obs::Metric::kNetCrcErrors, nc.crc_errors);
+}
+
+void DistributedEngine::rank_send_stats() {
+  metrics_.merge();  // fold per-event counters before attaching node totals
+  fold_node_counters();
   metrics_.merge();
 
   std::vector<std::uint8_t> p;
@@ -1311,27 +1185,16 @@ void DistributedEngine::rank_send_stats() {
     w.u32(lp);
     encode_lp_stats(w, lps_[lp].stats());
   }
-  encode_worker_stats(w, wstats_);
+  encode_worker_stats(w, self_.stats);
   encode_transport_counters(w, net_->counters());
   // Blocked-LP diagnostics for the coordinator's deadlock report: its own
   // copies of our LPs stopped updating at the fork.
-  std::uint64_t ndiag = 0;
-  for (const LpId lp : owned_)
-    if (lps_[lp].has_pending()) ++ndiag;
-  w.u64(ndiag);
-  for (const LpId lp : owned_) {
-    if (!lps_[lp].has_pending()) continue;
-    w.u32(lp);
-    w.vt(lps_[lp].next_ts());
-    w.vt(lps_[lp].min_channel_clock());
-    w.u64(lps_[lp].pending_count());
-    w.u8(static_cast<std::uint8_t>(lps_[lp].mode()));
-  }
+  encode_diag(w, deadlock_report(safe_bound_, rank_).blocked);
   std::uint64_t ncommits = 0;
-  if (want_commits_)
+  if (hook_)
     for (const LpId lp : owned_) ncommits += commit_buf_[lp].size();
   w.u64(ncommits);
-  if (want_commits_) {
+  if (hook_) {
     for (const LpId lp : owned_) {
       for (const Event& ev : commit_buf_[lp]) encode_event(w, ev);
       commit_buf_[lp].clear();
@@ -1359,11 +1222,7 @@ void DistributedEngine::rank_abort_transport(const TransportError& err) {
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
   w.u8(1);  // kind: transport-error report
-  w.u32(err.src_worker);
-  w.u32(err.dst_worker);
-  w.u64(err.seq);
-  w.u32(err.attempts);
-  w.str(err.message);
+  encode_transport_error(w, err);
   node_->send(coord_, net::FrameType::kAbort, p);
   const std::int64_t deadline = net::now_ms() + 1000;
   while (!node_->all_flushed() && net::now_ms() < deadline) pump_io(1);
@@ -1455,17 +1314,8 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
       }
       const WorkerStats ws = decode_worker_stats(r);
       const TransportCounters tc = decode_transport_counters(r);
-      const std::uint64_t ndiag = r.u64();
       std::vector<DeadlockReport::LpDiag> diag;
-      for (std::uint64_t i = 0; r.ok() && i < ndiag; ++i) {
-        DeadlockReport::LpDiag d;
-        d.id = r.u32();
-        d.next_ts = r.vt();
-        d.min_channel_clock = r.vt();
-        d.pending = static_cast<std::size_t>(r.u64());
-        d.mode = static_cast<SyncMode>(r.u8());
-        diag.push_back(d);
-      }
+      decode_diag(r, &diag);
       const std::uint64_t ncommits = r.u64();
       std::vector<Event> commits;
       commits.reserve(static_cast<std::size_t>(ncommits));
@@ -1481,9 +1331,11 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
         final_lp_got_[id] = true;
       }
       final_worker_stats_[m.src] = ws;
-      add_transport_counters(remote_transport_, tc);
+      // Safe without dedup: a link's send-side rows are only ever touched on
+      // the source rank and its receive-side rows on the destination rank.
+      remote_transport_ += tc;
       remote_diag_.insert(remote_diag_.end(), diag.begin(), diag.end());
-      if (want_commits_ && !commits.empty())
+      if (hook_ && !commits.empty())
         final_commits_.push_back(std::move(commits));
       if (snap_ok) {
         rank_snapshots_[m.src] = std::move(snap);
@@ -1495,12 +1347,7 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
       bytes::Reader r(m.payload.data(), m.payload.size());
       const std::uint8_t kind = r.u8();
       if (kind == 1) {
-        TransportError err;
-        err.src_worker = r.u32();
-        err.dst_worker = r.u32();
-        err.seq = r.u64();
-        err.attempts = r.u32();
-        err.message = r.str();
+        TransportError err = decode_transport_error(r);
         if (r.ok() && !remote_transport_error_)
           remote_transport_error_ = std::move(err);
       }
@@ -1511,10 +1358,7 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
   }
 }
 
-DistributedEngine::Wait DistributedEngine::coordinator_collect_votes(
-    std::uint64_t round, std::uint32_t pass) {
-  (void)round;
-  (void)pass;
+DistributedEngine::Wait DistributedEngine::coordinator_collect_votes() {
   for (;;) {
     bool all = true;
     for (std::uint32_t r = 0; r < nranks_; ++r)
@@ -1532,6 +1376,7 @@ DistributedEngine::Wait DistributedEngine::coordinator_collect_votes(
 
 bool DistributedEngine::coordinator_round() {
   ++gvt_rounds_;
+  gate_.begin_round();
   note_round(gvt_rounds_);
   round_req_ = false;
   metrics_.shard(0).inc(obs::Metric::kGvtRounds);
@@ -1552,27 +1397,8 @@ bool DistributedEngine::coordinator_round() {
     w.u32(cur_pass_);
     broadcast(net::FrameType::kDrain, p);
 
-    // Own contribution, exactly as the ranks compute theirs (same once-per-
-    // pass, links-up-gated flush discipline; see rank_drain_pass).
-    if (node_->all_links_up())
-      net_->flush(rank_, nowd());
-    else
-      net_->poll(rank_, nowd());
-    const std::int64_t deadline = net::now_ms() + kDrainFlushBudgetMs;
-    while (!node_->all_flushed() && net::now_ms() < deadline) pump_io(1);
-    pump_io(0);
-    {
-      DrainVote& mine = votes_[rank_];
-      const bool err = net_->error().has_value();
-      const net::NodeCounters& nc = node_->counters();
-      mine.got = true;
-      mine.quiescent = err || (net_->quiescent() && node_->all_flushed());
-      mine.error = err;
-      mine.activity = nc.data_frames_sent + nc.data_frames_recv;
-      mine.local_min = local_min();
-      mine.events = wstats_.events;
-    }
-    if (coordinator_collect_votes(round, cur_pass_) == Wait::kDied) {
+    votes_[rank_] = drain_vote();  // exactly as the ranks compute theirs
+    if (coordinator_collect_votes() == Wait::kDied) {
       collecting_ = false;
       return coordinator_recover();  // round abandoned either way
     }
@@ -1606,34 +1432,14 @@ bool DistributedEngine::coordinator_round() {
   }
   collecting_ = false;
 
-  // Decide the round outcome (mirrors the threaded coordinator).
   safe_bound_ = gvt;
   note_progress(gvt);
-  bool stop = false;
-  if (vote_error || net_->error() || remote_transport_error_) {
-    transport_failed_ = true;
-    stop = true;
-  } else if (gvt == kTimeInf || gvt.pt > config_.until) {
-    stop = true;
-  } else if (gvt == last_gvt_ && total_events == last_total_events_) {
-    if (++stall_rounds_ >= config_.deadlock_rounds) {
-      deadlocked_ = true;
-      stop = true;
-    }
-  } else {
-    stall_rounds_ = 0;
-  }
-  last_gvt_ = gvt;
-  last_total_events_ = total_events;
-
-  bool ckpt_due = false;
-  if (!stop && ft_on_ && config_.checkpoint.period > 0 &&
-      ++rounds_since_ckpt_ >= config_.checkpoint.period &&
-      gvt > last_ckpt_gvt_) {
-    rounds_since_ckpt_ = 0;
-    last_ckpt_gvt_ = gvt;
-    ckpt_due = true;
-  }
+  transport_failed_ = vote_error || net_->error().has_value() ||
+                      remote_transport_error_.has_value();
+  verdict_ = gate_.judge(gvt, total_events, transport_failed_);
+  deadlocked_ = verdict_.deadlock;
+  const bool stop = verdict_.stop;
+  const bool ckpt_due = verdict_.checkpoint && !stop;
 
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
@@ -1657,36 +1463,20 @@ bool DistributedEngine::coordinator_round() {
 
 void DistributedEngine::apply_gvt_local(std::uint64_t round, VirtualTime gvt,
                                         bool ckpt_due) {
+  // The round pipeline (DESIGN.md "GVT round pipeline"); each rank is its
+  // own adaptation scope and sweeps only its dirty LPs.  Parked LPs'
+  // blocked polls land before the capture's rollback and before adapt()
+  // reads them.
   DistRouter router(*this);
-  // Parked LPs' blocked polls land before the capture's rollback and
-  // before adapt() reads them.
-  ready_.settle_credits(
+  self_.ready.settle_credits(
       [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
   if (ckpt_due) ckpt_capture_and_ship(round, gvt);  // fossils every owned LP
-  // Each rank is its own adaptation scope: the demotion budget drains in
-  // ascending LP id, so decisions depend only on this rank's deterministic
-  // counters, never on cross-process timing.  Only dirty LPs are visited,
-  // as in the threaded engine's round.
-  AdaptController adapt(config_.adapt, config_.num_workers);
-  adapt.begin_round(owned_.size());
-  ready_.take_dirty(sweep_);
-  for (const LpId lp : sweep_) {
-    if (!ckpt_due) lps_[lp].fossil_collect(gvt, router);
-    bool deferred = false;
-    if (config_.configuration == Configuration::kDynamic) {
-      const AdaptDecision d = adapt.adapt(lps_[lp]);
-      deferred = d.action == AdaptAction::kDeferred;
-      if (deferred) metrics_.shard(0).inc(obs::Metric::kAdaptDeferrals);
-    } else {
-      lps_[lp].reset_window();
-    }
-    if (config_.strategy == ConservativeStrategy::kNullMessage)
-      send_null_messages_for(lp);
-    if (lps_[lp].round_visit_pending() || deferred) ready_.touch(lp);
-  }
-  metrics_.shard(0).inc(obs::Metric::kRoundLpVisits, sweep_.size());
-  ready_.rearm();
-  events_since_round_ = 0;
+  self_.ready.take_dirty(self_.sweep);
+  sweep(self_.sweep, owned_.size(), gvt, router, &self_.ready,
+        [](LpId) { return true; });
+  self_.ready.rearm();
+  self_.events_since_round = 0;
+  store_relaxed(dump_events_, self_.stats.events);
   round_req_sent_ = false;
   in_round_ = false;
 }
@@ -1697,12 +1487,9 @@ void DistributedEngine::ckpt_capture_and_ship(std::uint64_t round,
   // new frontier, undo the speculative suffix without anti-messages, then
   // snapshot and fan our share of the cut out to every successor.
   DistRouter router(*this);
-  for (const LpId lp : owned_) {
-    lps_[lp].fossil_collect(gvt, router);
-    if (lps_[lp].history_size() == 0) continue;  // pending set unchanged
-    lps_[lp].rollback_all_deferred();
-    refresh_key(lp);
-  }
+  undo_speculation(owned_, gvt, router, [&](LpId lp) {
+    self_.ready.update(lp, lps_[lp].next_ts());
+  });
   capture_fault_ring(round);
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
@@ -1710,18 +1497,16 @@ void DistributedEngine::ckpt_capture_and_ship(std::uint64_t round,
   w.vt(gvt);
   w.u64(owned_.size());
   for (const LpId lp : owned_) {
-    const LpStats& s = lps_[lp].stats();
-    const double work = static_cast<double>(
-        s.events_processed - std::min(s.events_processed, s.events_undone));
+    const double work = orphan_work(lps_[lp].stats());
     lp_work_[lp] = work;
     const LpCheckpoint lpck = lps_[lp].make_checkpoint();
     encode_lp_share(w, lp, lpck, work);
   }
   std::uint64_t ncommits = 0;
-  if (want_commits_)
+  if (hook_)
     for (const LpId lp : owned_) ncommits += commit_buf_[lp].size();
   w.u64(ncommits);
-  if (want_commits_) {
+  if (hook_) {
     for (const LpId lp : owned_) {
       for (const Event& ev : commit_buf_[lp]) encode_event(w, ev);
       commit_buf_[lp].clear();
@@ -1813,7 +1598,7 @@ void DistributedEngine::ckpt_complete(std::uint64_t round) {
   if (rank_ == coord_) {
     // Commits covered by this snapshot park until every OTHER live
     // successor holds it too: released output must survive our own death.
-    if (want_commits_) unreleased_[round] = std::move(as.commits);
+    if (hook_) unreleased_[round] = std::move(as.commits);
     store_.put(std::move(as.ck));
     ++ckstats_.checkpoints;
     if (round > succ_ack_[rank_]) succ_ack_[rank_] = round;
@@ -1821,7 +1606,7 @@ void DistributedEngine::ckpt_complete(std::uint64_t round) {
   } else {
     // Successor: spill durably, retain the commit batch for a possible
     // promotion re-emit, and ack so the coordinator can release.
-    if (want_commits_) {
+    if (hook_) {
       retained_batches_[round] = std::move(as.commits);
       while (retained_batches_.size() > config_.checkpoint.keep)
         retained_batches_.erase(retained_batches_.begin());
@@ -1836,7 +1621,7 @@ void DistributedEngine::ckpt_complete(std::uint64_t round) {
 }
 
 void DistributedEngine::try_release_batches() {
-  if (!want_commits_) {
+  if (!hook_) {
     unreleased_.clear();
     return;
   }
@@ -1921,10 +1706,10 @@ bool DistributedEngine::coordinator_recover() {
     // Partial assemblies belong to the abandoned timeline.
     pending_ck_.clear();
 
-    std::vector<bool> alive(nranks_);
-    for (std::uint32_t r = 0; r < nranks_; ++r) alive[r] = !retired_[r];
-    partition::redistribute_orphans(graph_, partition_, lp_work_, alive,
-                                    config_.rebalance);
+    // Orphan scores come from the shipped checkpoint shares: this rank's
+    // copies of other ranks' LPs stopped updating at the fork.  Never
+    // fails -- the coordinator itself survives.
+    redistribute(lp_work_, first_dead);
 
     ++epoch_;
     if (epoch_ > max_epoch_seen_) max_epoch_seen_ = epoch_;
@@ -1996,20 +1781,15 @@ bool DistributedEngine::coordinator_recover() {
     try_release_batches();
 
     broadcast(net::FrameType::kResume, {});
-    last_gvt_ = last_ckpt_gvt_ = safe_bound_;
+    gate_.rewind(safe_bound_);  // the first post-recovery round never stalls
     note_progress(safe_bound_);
-    last_total_events_ = ~0ull;  // first post-recovery round never stalls
-    stall_rounds_ = 0;
-    rounds_since_ckpt_ = 0;
     round_req_ = false;
     return true;
   }
 }
 
 void DistributedEngine::fail_run(std::uint32_t worker, std::string message) {
-  recovery_error_ =
-      RecoveryError{worker, gvt_rounds_, recoveries_, std::move(message)};
-  failed_ = true;
+  fail_recovery(worker, std::move(message));
   stopping_ = true;
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
@@ -2045,39 +1825,21 @@ void DistributedEngine::coordinator_finish(RunStats& out) {
     }
   }
 
-  out.per_lp.resize(graph_.size());
+  fill_run_stats(out);
   for (LpId id = 0; id < graph_.size(); ++id)
-    out.per_lp[id] = final_lp_got_[id] ? final_lp_stats_[id]
-                                       : lps_[id].stats();
+    if (final_lp_got_[id]) out.per_lp[id] = final_lp_stats_[id];
   out.per_worker = final_worker_stats_;
-  out.per_worker[rank_] = wstats_;
-  out.gvt_rounds = gvt_rounds_;
-  out.deadlocked = deadlocked_;
-  out.transport = net_->counters();
-  add_transport_counters(out.transport, remote_transport_);
-  if (auto err = net_->error()) {
-    out.transport_error = std::move(err);
-  } else if (remote_transport_error_) {
-    out.transport_error = remote_transport_error_;
-  }
+  out.per_worker[rank_] = self_.stats;
+  out.transport += remote_transport_;
+  if (!out.transport_error) out.transport_error = remote_transport_error_;
   if (deadlocked_) {
-    DeadlockReport report;
-    report.gvt = last_gvt_;
-    for (const LpId lp : owned_) {
-      if (!lps_[lp].has_pending()) continue;
-      report.blocked.push_back({lp, lps_[lp].next_ts(),
-                                lps_[lp].min_channel_clock(),
-                                lps_[lp].pending_count(), lps_[lp].mode()});
-    }
+    DeadlockReport report = deadlock_report(safe_bound_, rank_);
     report.blocked.insert(report.blocked.end(), remote_diag_.begin(),
                           remote_diag_.end());
     std::sort(report.blocked.begin(), report.blocked.end(),
               [](const auto& a, const auto& b) { return a.id < b.id; });
     out.deadlock_report = std::move(report);
   }
-  out.checkpoint = ckstats_;
-  out.checkpoint.disk_bytes = store_.disk_bytes();
-  out.recovery_error = recovery_error_;
   out.final_coordinator = rank_;
   out.final_epoch = epoch_;
 
@@ -2086,7 +1848,7 @@ void DistributedEngine::coordinator_finish(RunStats& out) {
   // so the released prefix stays exactly the spill coverage a resume run
   // will replay from.  The unvalidated tail (partial assemblies, the live
   // buffers, the shipped final buffers) is released only on success.
-  if (want_commits_) {
+  if (hook_) {
     for (auto& [round, batch] : unreleased_)
       pipe_commit_batch(round, batch, false);
     unreleased_.clear();
@@ -2103,23 +1865,11 @@ void DistributedEngine::coordinator_finish(RunStats& out) {
   // Metrics: fold the socket-node totals into our shard, absorb the global
   // run totals, then merge the latest per-rank snapshots (dead ranks keep
   // their last piggybacked one).
-  {
-    auto& sh = metrics_.shard(0);
-    const net::NodeCounters& nc = node_->counters();
-    sh.inc(obs::Metric::kNetFramesSent, nc.frames_sent);
-    sh.inc(obs::Metric::kNetFramesRecv, nc.frames_recv);
-    sh.inc(obs::Metric::kNetHeartbeats, nc.heartbeats_sent);
-    sh.inc(obs::Metric::kNetReconnects, nc.reconnects);
-    sh.inc(obs::Metric::kNetDisconnects, nc.disconnects);
-    sh.inc(obs::Metric::kNetCrcErrors, nc.crc_errors);
-  }
-  absorb_run_stats(metrics_, out);
-  metrics_.merge();
-  obs::MetricsSnapshot merged = metrics_.merged();
+  fold_node_counters();
+  finish_metrics(out);
   for (std::uint32_t r = 0; r < nranks_; ++r)
     if (r != rank_ && rank_snapshot_got_[r])
-      obs::merge_snapshot(merged, rank_snapshots_[r]);
-  out.metrics = std::move(merged);
+      obs::merge_snapshot(out.metrics, rank_snapshots_[r]);
 }
 
 // ---------------------------------------------------------------------------
@@ -2146,7 +1896,7 @@ void DistributedEngine::pipe_send(net::FrameType type,
 void DistributedEngine::pipe_commit_events(std::uint64_t round,
                                            const std::vector<Event>& evs,
                                            bool terminal) {
-  if (!want_commits_) return;
+  if (!hook_) return;
   if (evs.empty() && !terminal) return;
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
@@ -2160,7 +1910,7 @@ void DistributedEngine::pipe_commit_events(std::uint64_t round,
 void DistributedEngine::pipe_commit_batch(
     std::uint64_t round, const std::vector<std::vector<Event>>& batch,
     bool terminal) {
-  if (!want_commits_) return;
+  if (!hook_) return;
   std::vector<Event> flat;
   for (const auto& per_lp : batch)
     flat.insert(flat.end(), per_lp.begin(), per_lp.end());

@@ -64,22 +64,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/frame.h"
-#include "obs/metrics.h"
-#include "pdes/checkpoint.h"
-#include "pdes/config.h"
-#include "pdes/graph.h"
-#include "pdes/lp_runtime.h"
-#include "pdes/machine.h"  // Partition
-#include "pdes/ready_queue.h"
-#include "pdes/stats.h"
-#include "pdes/transport.h"
+#include "pdes/engine_core.h"
 
 namespace vsim::net {
 class SocketNode;
@@ -88,31 +79,21 @@ class SocketTransport;
 
 namespace vsim::pdes {
 
-class DistributedEngine {
+class DistributedEngine : public EngineCore {
  public:
-  /// Invoked once per committed event, always in the caller's (supervisor)
-  /// process, in LP-id order within each release batch.  With fault
-  /// tolerance on, invocations are buffered on the owning rank and released
-  /// only once a replicated checkpoint (or termination) covers them, so
-  /// neither recovery nor coordinator failover can duplicate one.
-  using CommitHook = std::function<void(const Event&)>;
-
+  /// The commit hook is invoked always in the caller's (supervisor)
+  /// process, in LP-id order within each release batch.  Invocations are
+  /// buffered on the owning rank and released only once a replicated
+  /// checkpoint (or termination) covers them, so neither recovery nor
+  /// coordinator failover can duplicate one.  partition() is the LP -> rank
+  /// mapping after the run.
   DistributedEngine(LpGraph& graph, Partition partition, RunConfig config);
   ~DistributedEngine();
-
-  DistributedEngine(const DistributedEngine&) = delete;
-  DistributedEngine& operator=(const DistributedEngine&) = delete;
-
-  void set_commit_hook(CommitHook hook) { hook_ = std::move(hook); }
 
   /// Runs the simulation across config.num_workers OS processes.  Returns
   /// in the caller's process, which supervises but does not simulate; all
   /// ranks are forked children and never return (they _exit).
   RunStats run();
-
-  /// LP -> rank mapping after the run (differs from the constructor
-  /// argument after crash recovery redistributed a dead rank's LPs).
-  [[nodiscard]] const Partition& partition() const { return partition_; }
 
   /// Progress snapshot for test watchdogs: last GVT, rounds, events,
   /// recoveries, and (racily) socket counters.  Callable from another
@@ -121,7 +102,6 @@ class DistributedEngine {
 
  private:
   class DistRouter;
-  class SeedRouter;
 
   /// One control frame copied out of the socket layer for the main loop
   /// (FrameView payloads are only valid during the handler call).
@@ -157,15 +137,14 @@ class DistributedEngine {
   void setup_stack_or_die();
   void on_frame(std::uint32_t src, const net::FrameView& view);
   std::size_t pump_io(int timeout_ms);
-  void deliver(Event ev);
-  void refresh_key(LpId lp);
-  /// Charges a parked LP the blocked polls it sat out (ReadyQueue credit).
-  void credit_parked(LpId lp);
   /// Recomputes owned_ from partition_ and rebuilds the ready queue.
   void adopt_partition();
-  bool try_process_one();
-  void send_null_messages_for(LpId lp);
-  bool maybe_crash() const;
+  /// This rank's drain-pass vote (the ranks ship it, the coordinator keeps
+  /// its own): flush what we hold, then report quiescence and the local
+  /// GVT candidate.
+  DrainVote drain_vote();
+  /// Adds the socket node's counters to the metrics shard.
+  void fold_node_counters();
   void capture_fault_ring(std::uint64_t round);
   void apply_restore(const Checkpoint& ck);
   void encode_lp_share(bytes::Writer& w, LpId id, const LpCheckpoint& lpck,
@@ -175,7 +154,6 @@ class DistributedEngine {
                        std::vector<std::uint8_t>* state_bytes);
   [[nodiscard]] double nowd() const;
   [[nodiscard]] std::int64_t cfg_connect_deadline() const;
-  [[nodiscard]] VirtualTime local_min() const;
   void note_progress(VirtualTime gvt);
   void note_round(std::uint64_t round);
   [[nodiscard]] std::vector<std::uint32_t> successor_set() const;
@@ -207,7 +185,7 @@ class DistributedEngine {
   // --- coordinator duties (rank_ == coord_) ---
   void coordinator_handle(const ControlMsg& m);
   bool coordinator_round();  ///< false: stop the run
-  Wait coordinator_collect_votes(std::uint64_t round, std::uint32_t pass);
+  Wait coordinator_collect_votes();
   void apply_gvt_local(std::uint64_t round, VirtualTime gvt, bool ckpt_due);
   void ckpt_capture_and_ship(std::uint64_t round, VirtualTime gvt);
   void ckpt_ingest(std::uint32_t src, const ControlMsg& m);
@@ -231,31 +209,19 @@ class DistributedEngine {
   void supervisor_main(RunStats& out);
   void reap_children(bool force);
 
-  LpGraph& graph_;
-  Partition partition_;
-  RunConfig config_;
-  CommitHook hook_;
-
-  std::vector<LpRuntime> lps_;
-  std::vector<VirtualTime> last_promise_;
   std::vector<LpId> owned_;
-  ReadyQueue ready_;         ///< this rank's scheduler (ready_queue.h)
-  std::vector<LpId> sweep_;  ///< scratch for the round's dirty-LP sweep
+  ReadyScope self_;  ///< this rank's scheduler (ready_queue.h)
 
   std::uint32_t rank_ = 0;
   std::uint32_t nranks_ = 1;
   std::uint32_t coord_ = 0;     ///< current coordinator (lowest live rank)
   std::uint32_t replicas_ = 1;  ///< successor-set size (clamped to nranks_)
-  bool ft_on_ = false;
-  bool want_commits_ = false;
   bool own_socket_dir_ = false;
   bool is_child_ = false;  ///< set in forked ranks; the supervisor stays false
 
   // Socket transport stack (built per rank, after the fork).
   std::unique_ptr<net::SocketNode> node_;
   std::unique_ptr<net::SocketTransport> wire_;
-  std::unique_ptr<FaultyTransport> faulty_;
-  std::unique_ptr<ChannelStack> net_;
   bool got_data_ = false;
 
   std::deque<ControlMsg> ctrl_;
@@ -266,46 +232,29 @@ class DistributedEngine {
   std::uint32_t max_epoch_seen_ = 0;
 
   // Scheduling.
-  VirtualTime safe_bound_ = kTimeZero;
-  std::uint64_t events_since_round_ = 0;
   bool in_round_ = false;
   bool recovering_ = false;
   bool round_req_sent_ = false;
   std::uint32_t idle_spins_ = 0;
-  WorkerStats wstats_;
 
   // Coordinator round state.
   bool round_req_ = false;
-  std::uint64_t gvt_rounds_ = 0;
   std::uint64_t max_round_seen_ = 0;  ///< keeps rounds monotone across takeover
   std::uint64_t baseline_round_ = 0;  ///< round of the pre-fork baseline ckpt
-  VirtualTime last_gvt_ = kTimeZero;
-  std::uint64_t last_total_events_ = 0;
-  std::uint32_t stall_rounds_ = 0;
-  std::uint32_t rounds_since_ckpt_ = 0;
-  VirtualTime last_ckpt_gvt_ = kTimeZero;
-  bool deadlocked_ = false;
-  bool transport_failed_ = false;
   bool stopping_ = false;
-  bool failed_ = false;
   std::vector<DrainVote> votes_;
   std::uint32_t cur_pass_ = 0;
   bool collecting_ = false;  ///< a drain pass is awaiting votes
   std::int64_t last_round_ms_ = 0;
   std::vector<bool> recover_done_;
 
-  // Fault tolerance.
-  std::vector<bool> retired_;  ///< rank is dead and recovered-around
+  // Fault tolerance (retired_: rank is dead and recovered-around).
   std::vector<bool> dead_pending_;
-  std::uint32_t recoveries_ = 0;
-  CheckpointStore store_;
-  CheckpointStats ckstats_;
   std::map<std::uint64_t, CkptAssembly> pending_ck_;
   /// Per-rank local ring of OWN fault-injector cursors per checkpoint
   /// round: recovery resets the channel layer outright (epoch filtering
   /// handles staleness) but must rewind the chaos RNGs for determinism.
   std::map<std::uint64_t, std::vector<FaultLinkCheckpoint>> fault_ring_;
-  std::vector<std::vector<Event>> commit_buf_;  ///< per LP, owning rank only
   std::vector<double> lp_work_;  ///< work scores for orphan placement
   /// Coordinator: assembled-but-not-yet-released commit batches per round,
   /// released to the supervisor once every other live successor acked the
@@ -315,8 +264,6 @@ class DistributedEngine {
   /// Successor: commit batches of the checkpoints this rank assembled,
   /// kept so a promotion can re-emit them (the supervisor dedups by round).
   std::map<std::uint64_t, std::vector<std::vector<Event>>> retained_batches_;
-  std::optional<RecoveryError> recovery_error_;
-  std::optional<ConfigError> config_error_;
   std::optional<TransportError> remote_transport_error_;
 
   // Termination collection (final coordinator).
@@ -329,8 +276,6 @@ class DistributedEngine {
   std::vector<bool> rank_snapshot_got_;
   std::vector<DeadlockReport::LpDiag> remote_diag_;
   std::vector<std::vector<Event>> final_commits_;
-
-  obs::MetricsRegistry metrics_{1};
 
   // Child processes and result pipes (supervisor only; `pipe_w_` is the
   // forked rank's own write end).

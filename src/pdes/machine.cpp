@@ -1,7 +1,7 @@
 #include "pdes/machine.h"
 
 #include <algorithm>
-#include <cassert>
+#include <numeric>
 
 #include "partition/rebalance.h"
 
@@ -31,51 +31,38 @@ class MachineEngine::MachineRouter final : public Router {
  public:
   explicit MachineRouter(MachineEngine& eng) : eng_(eng) {}
 
-  void route(Event&& ev) override {
-    const std::uint32_t owner = eng_.partition_[ev.dst];
-    Worker& from = eng_.workers_[eng_.current_worker_];
-    if (owner == eng_.current_worker_) {
-      from.clock += eng_.costs_.msg_local;
-      ++from.stats.messages_sent_local;
-      eng_.metrics_.shard(eng_.current_worker_).inc(obs::Metric::kMessagesLocal);
-      eng_.deliver(from, std::move(ev));
-    } else {
-      const bool is_null = ev.kind == kNullMsgKind;
-      const double cost =
-          is_null ? eng_.costs_.null_msg : eng_.costs_.msg_remote_send;
-      from.clock += cost;
-      if (is_null) {
-        ++from.stats.null_messages;
-        eng_.metrics_.shard(eng_.current_worker_)
-            .inc(obs::Metric::kNullMessages);
-      } else {
-        ++from.stats.messages_sent_remote;
-        eng_.metrics_.shard(eng_.current_worker_)
-            .inc(obs::Metric::kMessagesRemote);
-      }
-      VSIM_TRACE(if (eng_.trace_ != nullptr) {
-        const char* name =
-            is_null ? "send-null" : (ev.negative ? "send-anti" : "send");
-        eng_.trace_->complete(eng_.current_worker_, "net", name,
-                              from.clock - cost, cost, ev.src);
-        // Null messages share uid 0, so only data/anti sends get flow arrows.
-        if (!is_null)
-          eng_.trace_->flow_out(eng_.current_worker_, trace_flow_id(ev),
-                                from.clock - cost / 2);
-      });
-      eng_.net_->send(static_cast<std::uint32_t>(eng_.current_worker_), owner,
-                      std::move(ev), from.clock);
-    }
+  [[nodiscard]] std::size_t worker() const { return eng_.current_worker_; }
+  [[nodiscard]] double clock() const {
+    return eng_.workers_[eng_.current_worker_].clock;
   }
 
-  void commit(const Event& ev) override {
-    if (!eng_.hook_) return;
-    // Output commit: under fault tolerance the hook only fires once the
-    // commit is covered by a checkpoint (or the run terminated), so a
-    // recovery never replays an already-reported event.
-    if (eng_.ft_on_) eng_.commit_buf_[ev.dst].push_back(ev);
-    else eng_.hook_(ev);
+  void route(Event&& ev) override {
+    const std::size_t wi = eng_.current_worker_;
+    const std::uint32_t owner = eng_.partition_[ev.dst];
+    Worker& from = eng_.workers_[wi];
+    const bool is_null = ev.kind == kNullMsgKind;
+    eng_.count_send(from.stats, wi, owner == wi, is_null);
+    if (owner == wi) {
+      from.clock += eng_.costs_.msg_local;
+      eng_.deliver(from, std::move(ev));
+      return;
+    }
+    const double cost =
+        is_null ? eng_.costs_.null_msg : eng_.costs_.msg_remote_send;
+    from.clock += cost;
+    VSIM_TRACE(if (eng_.trace_ != nullptr) {
+      const char* name =
+          is_null ? "send-null" : (ev.negative ? "send-anti" : "send");
+      eng_.trace_->complete(wi, "net", name, from.clock - cost, cost, ev.src);
+      // Null messages share uid 0, so only data/anti sends get flow arrows.
+      if (!is_null)
+        eng_.trace_->flow_out(wi, trace_flow_id(ev), from.clock - cost / 2);
+    });
+    eng_.net_->send(static_cast<std::uint32_t>(wi), owner, std::move(ev),
+                    from.clock);
   }
+
+  void commit(const Event& ev) override { eng_.commit(ev); }
 
  private:
   MachineEngine& eng_;
@@ -83,44 +70,22 @@ class MachineEngine::MachineRouter final : public Router {
 
 MachineEngine::MachineEngine(LpGraph& graph, Partition partition,
                              RunConfig config, MachineCosts costs)
-    : graph_(graph),
-      partition_(std::move(partition)),
-      config_(config),
+    : EngineCore(graph, std::move(partition), config, validate(config),
+                 config.num_workers),
       costs_(costs) {
-  config_error_ = validate(config_);
-  if (config_error_) return;  // run() refuses to start; nothing to build
-  assert(partition_.size() == graph_.size());
-  lps_.reserve(graph_.size());
+  if (config_error_) return;
   key_.assign(graph_.size(), kTimeInf);
-  last_promise_.assign(graph_.size(), kTimeZero);
-  lb_events_base_.assign(graph_.size(), 0);
-  lb_undone_base_.assign(graph_.size(), 0);
+  all_lps_.resize(graph_.size());
+  std::iota(all_lps_.begin(), all_lps_.end(), LpId{0});
   workers_.resize(config_.num_workers);
   for (LpId id = 0; id < graph_.size(); ++id) {
-    lps_.emplace_back(&graph_.lp(id), config_.ordering, config_.strategy,
-                      initial_mode(config_.configuration, graph_.lp(id)),
-                      config_.max_history, config_.use_lookahead,
-                      config_.cancellation);
-    if (config_.strategy == ConservativeStrategy::kNullMessage) {
-      for (LpId src : graph_.fan_in(id)) lps_[id].add_input_channel(src);
-    }
-    const std::uint32_t w = partition_[id];
-    assert(w < workers_.size());
-    workers_[w].owned.push_back(id);
-    workers_[w].ready.insert({kTimeInf, id});
+    workers_[partition_[id]].owned.push_back(id);
+    workers_[partition_[id]].ready.insert({kTimeInf, id});
   }
+  crashed_.assign(config_.num_workers, false);
 
-  // Assemble the transport stack bottom-up: wire -> (faults) -> channel.
   wire_ = std::make_unique<MachineWire>(*this);
-  Transport* top = wire_.get();
-  if (config_.transport.faults.active()) {
-    faulty_ = std::make_unique<FaultyTransport>(*wire_, config_.num_workers,
-                                                config_.transport.faults);
-    top = faulty_.get();
-  }
-  net_ = std::make_unique<ChannelStack>(*top, config_.num_workers,
-                                        config_.transport);
-  if (faulty_) net_->attach_faulty(faulty_.get());
+  assemble_transport(*wire_, config_.num_workers);
   net_->set_deliver([this](std::uint32_t w, Event&& ev) {
     VSIM_TRACE(if (trace_ != nullptr && ev.kind != kNullMsgKind) {
       trace_->instant(w, "net", ev.negative ? "recv-anti" : "recv",
@@ -137,38 +102,7 @@ MachineEngine::MachineEngine(LpGraph& graph, Partition partition,
                                  ? costs_.ack
                                  : costs_.msg_remote_send;
       });
-
-  // Fault tolerance: enabled by periodic checkpointing or by any scheduled
-  // crash (crashes force at least the initial snapshot, so recovery always
-  // has something to fall back to).
-  ft_on_ = config_.checkpoint.period > 0 ||
-           config_.transport.faults.crash_active();
-  crashed_.assign(config_.num_workers, false);
-  retired_.assign(config_.num_workers, false);
-  missed_heartbeats_.assign(config_.num_workers, 0);
-  crash_rng_.resize(config_.num_workers);
-  for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    // Distinct stream from the link-fault RNGs (0x10001 multiplier there).
-    crash_rng_[w] = splitmix64(config_.transport.faults.seed * 0x20003 + w + 1);
-    if (crash_rng_[w] == 0) crash_rng_[w] = 1;
-  }
-  commit_buf_.resize(graph_.size());
-  store_ = CheckpointStore(config_.checkpoint.keep, config_.checkpoint.spill_dir);
-
-  metrics_ = obs::MetricsRegistry(config_.num_workers);
-  VSIM_TRACE({
-    trace_ = config_.trace;
-    if (trace_ == nullptr) {
-      if (obs::Tracer* t = obs::Tracer::from_env()) {
-        trace_own_ = t->session("machine", config_.num_workers);
-        trace_ = trace_own_.get();
-      }
-    }
-    if (trace_ != nullptr) {
-      trace_->set_default_lp_labels(
-          [this](std::uint32_t id) { return graph_.lp(id).name(); });
-    }
-  });
+  open_trace("machine");
 }
 
 MachineEngine::~MachineEngine() = default;
@@ -182,71 +116,26 @@ void MachineEngine::refresh_key(LpId lp) {
   w.ready.insert({k, lp});
 }
 
-void MachineEngine::deliver(Worker& w, Event ev) {
+void MachineEngine::deliver(Worker& w, Event&& ev) {
   w.stats.busy_cost += costs_.recv_cost;
   const LpId dst = ev.dst;
   const bool is_null = ev.kind == kNullMsgKind;
-  // Straggler detection: enqueue() is the only entry point that can trigger
-  // a rollback, so counter deltas around it give the per-episode depth
-  // without touching the LpRuntime hot path.
-  const std::uint64_t rb0 = lps_[dst].stats().rollbacks;
-  const std::uint64_t un0 = lps_[dst].stats().events_undone;
   MachineRouter router(*this);
-  lps_[dst].enqueue(std::move(ev), router);
-  if (lps_[dst].stats().rollbacks != rb0) {
-    const std::uint64_t undone = lps_[dst].stats().events_undone - un0;
-    metrics_.shard(partition_[dst])
-        .observe(obs::Hist::kRollbackDepth, static_cast<double>(undone));
-    VSIM_TRACE(if (trace_ != nullptr) {
-      trace_->instant(partition_[dst], "tw", "rollback", w.clock, dst,
-                      "undone", static_cast<std::int64_t>(undone));
-    });
-  }
+  enqueue_observed(std::move(ev), router);
   refresh_key(dst);
-  // A null message can raise this LP's own promise; propagate downstream.
-  if (is_null && config_.strategy == ConservativeStrategy::kNullMessage)
-    send_null_messages_for(dst);
-}
-
-void MachineEngine::send_null_messages_for(LpId lp) {
-  const VirtualTime promise = lps_[lp].null_promise();
-  if (!(promise > last_promise_[lp])) return;
-  last_promise_[lp] = promise;
-  MachineRouter router(*this);
+  if (!is_null || !null_msgs_) return;
+  // A null message can raise this LP's own promise; the propagation is sent
+  // (and charged) by its owner, even for a null that reached the previous
+  // owner after a migration.
   const std::size_t saved = current_worker_;
-  current_worker_ = partition_[lp];
-  for (LpId dst : graph_.fan_out(lp)) {
-    Event n;
-    n.ts = promise;
-    n.src = lp;
-    n.dst = dst;
-    n.kind = kNullMsgKind;
-    router.route(std::move(n));
-  }
+  current_worker_ = partition_[dst];
+  send_null_messages_for(dst, router);
   current_worker_ = saved;
 }
 
-bool MachineEngine::any_crashed() const {
-  for (std::size_t w = 0; w < workers_.size(); ++w)
-    if (crashed_[w] && !retired_[w]) return true;
-  return false;
-}
-
 bool MachineEngine::maybe_crash(std::size_t wi) {
-  const FaultPlan& plan = config_.transport.faults;
   Worker& w = workers_[wi];
-  bool die = false;
-  // Explicit schedule: cumulative event counters never rewind (recovery
-  // keeps statistics), so an exact match fires at most once.
-  for (const WorkerCrash& c : plan.crashes)
-    if (c.worker == wi && c.after_events == w.stats.events) die = true;
-  // Seeded per-event failure probability.  The RNG cursor advances on every
-  // processed event and is never restored from a checkpoint: a crash that
-  // replays into the identical pre-crash state must not re-fire forever.
-  if (plan.crash_rate > 0 &&
-      xorshift_uniform(crash_rng_[wi]) < plan.crash_rate && !die)
-    die = true;
-  if (!die) return false;
+  if (!crash_.fire(wi, w.stats.events)) return false;
   crashed_[wi] = true;
   ++ckstats_.crashes;
   VSIM_TRACE(if (trace_ != nullptr) {
@@ -256,7 +145,7 @@ bool MachineEngine::maybe_crash(std::size_t wi) {
 }
 
 bool MachineEngine::step(std::size_t wi) {
-  if (ft_on_ && worker_dead(wi)) return false;
+  if (worker_dead(wi)) return false;
   current_worker_ = wi;
   Worker& w = workers_[wi];
 
@@ -308,16 +197,14 @@ bool MachineEngine::step(std::size_t wi) {
     ++w.events_since_round;
     metrics_.shard(wi).inc(obs::Metric::kEventsProcessed);
     VSIM_TRACE(if (trace_ != nullptr) {
-      // Named by delta-cycle phase (lt mod 3); nested send/rollback records
-      // were emitted by the router while the event executed.
       trace_->complete(wi, "execute", to_string(ts.phase()), exec_start,
                        w.clock - exec_start, lp, "pt",
                        static_cast<std::int64_t>(ts.pt));
     });
+    (void)exec_start;
     refresh_key(lp);
     if (ft_on_ && maybe_crash(wi)) return true;  // crash-stop: worker is gone
-    if (config_.strategy == ConservativeStrategy::kNullMessage)
-      send_null_messages_for(lp);
+    if (null_msgs_) send_null_messages_for(lp, router);
     return true;
   }
   if (delivered) return true;
@@ -330,18 +217,20 @@ bool MachineEngine::step(std::size_t wi) {
   return false;  // stalled until the next synchronisation round
 }
 
-VirtualTime MachineEngine::sync_round() {
+bool MachineEngine::sync_round() {
   ++gvt_rounds_;
   metrics_.shard(0).inc(obs::Metric::kGvtRounds);
-  if (ft_on_ && config_.checkpoint.period > 0) ++rounds_since_ckpt_;
+  gate_.begin_round();
 
   // Crash detection + recovery happen at round ENTRY, before the drain:
   // in-flight traffic to a dead worker can never be acknowledged, so
   // draining first would only burn the retransmission budget (which is
   // exactly what happens -- deliberately -- when heartbeat_rounds delays
   // the declaration past the retry cap).
-  if (ft_on_ && !detect_and_recover()) return safe_bound_;
-  const bool crash_pending = ft_on_ && any_crashed();
+  if (ft_on_ && !detect_and_recover()) return false;
+  bool crash_pending = false;
+  for (std::size_t w = 0; w < workers_.size(); ++w)
+    crash_pending = crash_pending || (crashed_[w] && !retired_[w]);
 
   // Per-worker round-entry clocks: each survivor gets a "gvt" span from here
   // to the synchronised round clock (recorded after recovery so the spans
@@ -364,7 +253,7 @@ VirtualTime MachineEngine::sync_round() {
     while (any) {
       any = false;
       for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-        if (ft_on_ && worker_dead(wi)) continue;
+        if (worker_dead(wi)) continue;
         current_worker_ = wi;
         Worker& w = workers_[wi];
         while (!w.mailbox.empty()) {
@@ -383,7 +272,7 @@ VirtualTime MachineEngine::sync_round() {
     }
     std::size_t flushed = 0;
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      if (ft_on_ && worker_dead(wi)) continue;
+      if (worker_dead(wi)) continue;
       current_worker_ = wi;
       flushed += net_->flush(static_cast<std::uint32_t>(wi),
                              workers_[wi].clock);
@@ -393,18 +282,16 @@ VirtualTime MachineEngine::sync_round() {
   if (net_->error()) transport_failed_ = true;
 
   double round_clock = max_arrival;
-  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    if (ft_on_ && worker_dead(wi)) continue;
-    round_clock = std::max(round_clock, workers_[wi].clock);
-  }
+  for (std::size_t wi = 0; wi < workers_.size(); ++wi)
+    if (!worker_dead(wi)) round_clock = std::max(round_clock, workers_[wi].clock);
   round_clock += costs_.gvt_cost;
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    if (!(ft_on_ && worker_dead(wi))) workers_[wi].clock = round_clock;
+    if (!worker_dead(wi)) workers_[wi].clock = round_clock;
     workers_[wi].events_since_round = 0;
   }
   VSIM_TRACE(if (trace_ != nullptr) {
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      if (ft_on_ && worker_dead(wi)) continue;
+      if (worker_dead(wi)) continue;
       trace_->complete(wi, "gvt", "gvt", gvt_entry[wi],
                        round_clock - gvt_entry[wi], obs::kNoTraceLp, "round",
                        static_cast<std::int64_t>(gvt_rounds_));
@@ -414,122 +301,50 @@ VirtualTime MachineEngine::sync_round() {
   // Hierarchical GVT: each worker's ordered ready set already holds its
   // owned LPs keyed by minimal pending timestamp, so the local minimum is
   // its first entry and the global reduction touches one candidate per
-  // worker -- O(P) per round instead of the old O(LP) scan over key_, which
-  // is what keeps rounds cheap at 100k+ fused cluster LPs.  A dead worker's
+  // worker -- O(P) per round instead of an O(LP) scan over key_, which is
+  // what keeps rounds cheap at 100k+ fused cluster LPs.  A dead worker's
   // set is frozen at its crash-time keys (nothing updates it after death),
   // which keeps the GVT (and hence every survivor-side commit) below the
   // frontier the upcoming recovery will rewind to or replay over.
   VirtualTime gvt = kTimeInf;
+  std::uint64_t total_events = 0;
   for (const Worker& w : workers_) {
     if (!w.ready.empty()) gvt = std::min(gvt, w.ready.begin()->first);
+    total_events += w.stats.events;
   }
   metrics_.shard(0).inc(obs::Metric::kGvtScanItems, workers_.size());
 
+  // The round pipeline (DESIGN.md "GVT round pipeline").  The machine model
+  // sweeps every LP in one deterministic pass, so the whole engine is one
+  // adaptation scope: the demotion budget drains in LP id order regardless
+  // of placement.  Dead workers' LPs are fossil-collected but not adapted.
+  verdict_ = gate_.judge(gvt, total_events, transport_failed_, crash_pending);
+  deadlocked_ = verdict_.deadlock;
+  if (verdict_.checkpoint) take_checkpoint(gvt);
   MachineRouter router(*this);
-  for (LpId id = 0; id < lps_.size(); ++id) {
+  sweep(all_lps_, lps_.size(), gvt, router, nullptr, [&](LpId id) {
     current_worker_ = partition_[id];
-    lps_[id].fossil_collect(gvt, router);
-  }
-
-  // Periodic capture is additionally gated on GVT progress: capturing at an
-  // unadvanced frontier would re-undo the same speculative suffix whose
-  // re-execution then eats the next round's event budget -- with a short
-  // period that pins GVT at the checkpoint forever.  The counter is left
-  // accumulated so the capture retries on the first round that advances.
-  if (!crash_pending && !transport_failed_ && config_.checkpoint.period > 0 &&
-      rounds_since_ckpt_ >= config_.checkpoint.period && gvt != kTimeInf &&
-      gvt.pt <= config_.until && gvt > last_ckpt_gvt_) {
-    rounds_since_ckpt_ = 0;
-    last_ckpt_gvt_ = gvt;
-    take_checkpoint(gvt);
-  }
-
-  // The machine model sweeps every LP in one deterministic pass, so the
-  // whole engine is one adaptation scope: the demotion budget drains in LP
-  // id order regardless of placement.
-  AdaptController adapt(config_.adapt, config_.num_workers);
-  adapt.begin_round(lps_.size());
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    if (ft_on_ && worker_dead(partition_[id])) continue;
-    current_worker_ = partition_[id];
-    if (config_.configuration == Configuration::kDynamic) {
-      const AdaptDecision d = adapt.adapt(lps_[id]);
-      if (d.action == AdaptAction::kDeferred)
-        metrics_.shard(current_worker_).inc(obs::Metric::kAdaptDeferrals);
-      VSIM_TRACE(if (trace_ != nullptr && d.action != AdaptAction::kNone) {
-        trace_->instant(current_worker_, "adapt", to_string(d.action),
-                        workers_[current_worker_].clock, id, "waste_pct",
-                        static_cast<std::int64_t>(d.waste_rate * 100.0));
-      });
-    } else {
-      lps_[id].reset_window();
-    }
-    if (config_.strategy == ConservativeStrategy::kNullMessage)
-      send_null_messages_for(id);
-  }
-
-  // Dynamic load balancing, last: the network is quiescent (drained above),
-  // fossil collection already freed history below the new GVT, and nothing
-  // runs between here and the workers resuming, so ownership can change
-  // hands with no packet in flight addressed by the old mapping.  Skipped
-  // with a crash pending (recovery owns the partition then) and at the
-  // final round (gvt == inf: nothing left to balance).
-  if (!crash_pending && !transport_failed_ && gvt != kTimeInf &&
-      gvt.pt <= config_.until) {
-    maybe_rebalance();
-  }
+    return !worker_dead(current_worker_);
+  });
+  if (verdict_.rebalance) rebalance(gvt);
 
   safe_bound_ = gvt;
   metrics_.merge();  // every shard is quiescent inside the round
-  return gvt;
+  return !verdict_.stop;
 }
 
-void MachineEngine::maybe_rebalance() {
-  if (!config_.rebalance.enabled()) return;
-  if (++rounds_since_rebalance_ < config_.rebalance.period) return;
-  rounds_since_rebalance_ = 0;
-
-  // Per-LP work over the window since the previous rebalance: retained
-  // events count fully, undone (rolled-back) work at rollback_weight --
-  // a thrashing LP still loads its worker, just less usefully.
-  std::vector<double> work(lps_.size(), 0.0);
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    const LpStats& s = lps_[id].stats();
-    const double ev =
-        static_cast<double>(s.events_processed - lb_events_base_[id]);
-    const double un = static_cast<double>(s.events_undone - lb_undone_base_[id]);
-    work[id] = std::max(ev - un, 0.0) + config_.rebalance.rollback_weight * un;
-    lb_events_base_[id] = s.events_processed;
-    lb_undone_base_[id] = s.events_undone;
-  }
-  std::vector<bool> alive(workers_.size());
-  for (std::size_t w = 0; w < workers_.size(); ++w)
-    alive[w] = !(ft_on_ && worker_dead(w));
-
-  const partition::RebalancePlan plan = partition::plan_rebalance(
-      graph_, partition_, work, alive, config_.rebalance);
-  metrics_.shard(0).gauge_max(obs::Gauge::kLbImbalance, plan.imbalance_before);
-  metrics_.shard(0).inc(obs::Metric::kRebalanceRounds);
-  if (plan.empty()) return;
-
+void MachineEngine::rebalance(VirtualTime gvt) {
+  const partition::RebalancePlan plan = plan_rebalance(0);
+  MachineRouter router(*this);
   for (const partition::Migration& mv : plan.moves) {
     Worker& src = workers_[mv.from];
     Worker& dst = workers_[mv.to];
     src.ready.erase({key_[mv.lp], mv.lp});
     src.owned.erase(std::find(src.owned.begin(), src.owned.end(), mv.lp));
-    // Pack through the checkpoint codec: speculation is undone with
-    // deferred cancellation (no anti-messages, network stays quiescent; the
-    // deterministic re-execution settles the deferred sends as suppressed
-    // resends), then the committed frontier is snapshotted and reinstated
-    // under the new owner.
-    lps_[mv.lp].rollback_all_deferred();
-    const LpCheckpoint ck = lps_[mv.lp].make_checkpoint();
-    partition_[mv.lp] = mv.to;
-    lps_[mv.lp].restore_from(ck);
+    migrate_lp(mv.lp, mv.to, gvt, router);
     key_[mv.lp] = lps_[mv.lp].next_ts();
     dst.owned.push_back(mv.lp);
     dst.ready.insert({key_[mv.lp], mv.lp});
-    // The sender pays a checkpoint write, the receiver a state reload.
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->complete(mv.from, "lb", "migrate-out", src.clock,
                        costs_.checkpoint_per_lp, mv.lp);
@@ -543,72 +358,23 @@ void MachineEngine::maybe_rebalance() {
 }
 
 bool MachineEngine::detect_and_recover() {
-  bool any = false;
-  bool due = false;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (!crashed_[w] || retired_[w]) continue;
-    any = true;
-    if (++missed_heartbeats_[w] >= config_.checkpoint.heartbeat_rounds)
-      due = true;
-  }
-  if (!any || !due) return true;
+  std::uint32_t first_dead = 0;
+  if (!heartbeat_due([&](std::size_t w) { return crashed_[w]; }, &first_dead))
+    return true;
   // One dead worker reached the heartbeat budget: declare every currently
   // crashed worker dead and run a single recovery episode for all of them.
-  return recover();
-}
-
-bool MachineEngine::recover() {
-  std::uint32_t first_dead = 0;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (crashed_[w] && !retired_[w]) {
-      first_dead = static_cast<std::uint32_t>(w);
-      break;
-    }
-  }
-  const auto fail = [&](std::string message) {
-    recovery_error_ =
-        RecoveryError{first_dead, gvt_rounds_, recoveries_, std::move(message)};
-    failed_ = true;
-    return false;
-  };
-  if (recoveries_ >= config_.checkpoint.max_recoveries)
-    return fail("recovery budget exhausted (max_recoveries)");
-  const Checkpoint* ck = store_.latest();
-  if (ck == nullptr) return fail("no checkpoint available");
-
+  const Checkpoint* ck = recovery_point(first_dead);
+  if (ck == nullptr) return false;
   if (config_.checkpoint.policy == RecoveryPolicy::kRedistribute) {
     for (std::size_t w = 0; w < workers_.size(); ++w)
-      if (crashed_[w] && !retired_[w]) retired_[w] = true;
-    std::vector<bool> alive(workers_.size());
-    bool any_alive = false;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      alive[w] = !retired_[w];
-      any_alive = any_alive || alive[w];
-    }
-    if (!any_alive)
-      return fail("no surviving worker to redistribute LPs to");
-    // Load- and cut-aware orphan placement, shared with the dynamic
-    // rebalancer (it replaced the old round-robin scattering): each orphan
-    // goes to the least-loaded survivor, preferring channel neighbours.
-    std::vector<double> work(lps_.size(), 0.0);
-    for (LpId id = 0; id < lps_.size(); ++id) {
-      const LpStats& s = lps_[id].stats();
-      work[id] = static_cast<double>(
-          s.events_processed - std::min(s.events_processed, s.events_undone));
-    }
-    partition::redistribute_orphans(graph_, partition_, work, alive,
-                                    config_.rebalance);
+      if (crashed_[w]) retired_[w] = true;
+    if (!redistribute(orphan_work(), first_dead)) return false;
   } else {
     // Restart in place: the lost worker comes back empty and reloads its
     // original partition from the checkpoint, like everyone else.
-    for (std::size_t w = 0; w < workers_.size(); ++w)
-      if (crashed_[w]) crashed_[w] = false;
+    crashed_.assign(workers_.size(), false);
   }
-  ++recoveries_;
-  ++ckstats_.recoveries;
-
-  restore_checkpoint(*ck, lps_, last_promise_, *net_, faulty_.get());
-  ckstats_.lps_restored += lps_.size();
+  restore(*ck);
   for (Worker& w : workers_) {
     w.mailbox = {};  // in-flight packets belong to the abandoned timeline
     w.events_since_round = 0;
@@ -621,10 +387,6 @@ bool MachineEngine::recover() {
     w.owned.push_back(id);
     w.ready.insert({key_[id], id});
   }
-  safe_bound_ = ck->gvt;
-  last_ckpt_gvt_ = ck->gvt;  // next periodic capture must advance past this
-  for (auto& buf : commit_buf_) buf.clear();
-  for (auto& h : missed_heartbeats_) h = 0;
 
   // Charge detection latency + state reload to every surviving clock.
   double base = 0.0;
@@ -646,20 +408,9 @@ bool MachineEngine::recover() {
 }
 
 void MachineEngine::take_checkpoint(VirtualTime gvt) {
-  // Undo all speculation with deferred cancellation: no anti-messages are
-  // emitted, so the network stays quiescent and no receiver observes the
-  // capture; deterministic re-execution settles the deferred sends as
-  // suppressed resends.
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    if (lps_[id].rollback_all_deferred() > 0) refresh_key(id);
-  }
-  Checkpoint ck = capture_checkpoint(gvt_rounds_, gvt, lps_, last_promise_,
-                                     *net_, faulty_.get());
-  ++ckstats_.checkpoints;
-  // The snapshot covers everything committed so far: release the buffered
-  // commit-hook invocations (recovery can only rewind to this line or later).
-  flush_commits();
-  store_.put(std::move(ck));
+  MachineRouter router(*this);
+  undo_speculation(all_lps_, gvt, router, [&](LpId id) { refresh_key(id); });
+  store_checkpoint(gvt);
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (worker_dead(w)) continue;
     const double c = costs_.checkpoint_per_lp *
@@ -672,45 +423,21 @@ void MachineEngine::take_checkpoint(VirtualTime gvt) {
   }
 }
 
-void MachineEngine::flush_commits() {
-  if (!hook_) return;
-  for (auto& buf : commit_buf_) {
-    for (const Event& ev : buf) hook_(ev);
-    buf.clear();
-  }
-}
-
 RunStats MachineEngine::run() {
+  RunStats out;
   if (config_error_) {
-    RunStats out;
     out.config_error = config_error_;
     return out;
   }
 
   // Seed initial events (free: part of model construction, not simulation).
-  for (const Event& ev : graph_.initial_events()) {
-    current_worker_ = partition_[ev.dst];
-    Event copy = ev;
-    MachineRouter router(*this);
-    lps_[ev.dst].enqueue(std::move(copy), router);
-    refresh_key(ev.dst);
-  }
+  seed_initial_events();
+  for (const Event& ev : graph_.initial_events()) refresh_key(ev.dst);
+  // Round-zero baseline: recovery always has a line to rewind to, even when
+  // the first crash precedes the first periodic checkpoint.
+  if (ft_on_) store_checkpoint(kTimeZero);
 
-  if (ft_on_) {
-    // Round-zero baseline: recovery always has a line to rewind to, even
-    // when the first crash precedes the first periodic checkpoint.
-    store_.put(capture_checkpoint(0, kTimeZero, lps_, last_promise_, *net_,
-                                  faulty_.get()));
-    ++ckstats_.checkpoints;
-  }
-
-  VirtualTime gvt = sync_round();
-  VirtualTime last_gvt = gvt;
-  std::uint64_t last_total_events = 0;
-  std::uint32_t stall_rounds = 0;
-
-  while (gvt != kTimeInf && gvt.pt <= config_.until && !deadlocked_ &&
-         !transport_failed_ && !failed_) {
+  while (sync_round()) {
     // Run workers, lowest virtual clock first, until a round is due.
     bool round_due = false;
     while (!round_due) {
@@ -735,39 +462,9 @@ RunStats MachineEngine::run() {
           break;
         }
       }
-      if (!progressed) {
-        round_due = true;  // everyone stalled: synchronise
-      }
+      if (!progressed) round_due = true;  // everyone stalled: synchronise
     }
-
-    gvt = sync_round();
-
-    std::uint64_t total_events = 0;
-    for (const Worker& w : workers_) total_events += w.stats.events;
-    if (gvt == last_gvt && total_events == last_total_events &&
-        gvt != kTimeInf && gvt.pt <= config_.until) {
-      if (++stall_rounds >= config_.deadlock_rounds) deadlocked_ = true;
-    } else {
-      stall_rounds = 0;
-    }
-    last_gvt = gvt;
-    last_total_events = total_events;
   }
-
-  RunStats out;
-  out.transport = net_->counters();
-  if (auto err = net_->error()) {
-    out.transport_error = std::move(err);
-  } else if (!config_.transport.reliable && out.transport.dropped > 0) {
-    // A lossy run without reliable delivery may terminate "normally" with
-    // events silently missing; surface that as a structured error so the
-    // caller can never mistake the result for a trustworthy one.
-    TransportError err;
-    err.message = "packets were dropped without reliable delivery; "
-                  "committed traces are not trustworthy";
-    out.transport_error = std::move(err);
-  }
-  if (deadlocked_) out.deadlock_report = build_deadlock_report();
 
   // Commit everything that was processed.  With fault tolerance on, a run
   // that aborted on an unrecoverable failure must NOT commit past the last
@@ -781,39 +478,16 @@ RunStats MachineEngine::run() {
   }
   flush_commits();
 
-  out.per_lp.reserve(lps_.size());
-  for (const LpRuntime& rt : lps_) out.per_lp.push_back(rt.stats());
+  fill_run_stats(out);
+  if (deadlocked_) out.deadlock_report = deadlock_report(safe_bound_);
   out.per_worker.reserve(workers_.size());
-  double makespan = 0.0;
   for (Worker& w : workers_) {
     w.stats.final_clock = w.clock;
-    makespan = std::max(makespan, w.clock);
+    out.makespan = std::max(out.makespan, w.clock);
     out.per_worker.push_back(w.stats);
   }
-  out.gvt_rounds = gvt_rounds_;
-  out.deadlocked = deadlocked_;
-  out.makespan = makespan;
-  out.checkpoint = ckstats_;
-  out.checkpoint.disk_bytes = store_.disk_bytes();
-  out.recovery_error = recovery_error_;
-  absorb_run_stats(metrics_, out);
-  metrics_.merge();
-  out.metrics = metrics_.merged();
+  finish_metrics(out);
   return out;
-}
-
-DeadlockReport MachineEngine::build_deadlock_report() {
-  DeadlockReport report;
-  report.gvt = safe_bound_;
-  report.transport_starvation =
-      !config_.transport.reliable && net_->counters().dropped > 0;
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    LpRuntime& rt = lps_[id];
-    if (!rt.has_pending()) continue;
-    report.blocked.push_back({id, rt.next_ts(), rt.min_channel_clock(),
-                              rt.pending_count(), rt.mode()});
-  }
-  return report;
 }
 
 }  // namespace vsim::pdes

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <thread>
 
@@ -87,40 +86,29 @@ class ThreadedEngine::ThreadedRouter final : public Router {
  public:
   ThreadedRouter(ThreadedEngine& eng, std::size_t wi) : eng_(eng), wi_(wi) {}
 
+  [[nodiscard]] std::size_t worker() const { return wi_; }
+  [[nodiscard]] double clock() const { return eng_.tnow(); }
+
   void route(Event&& ev) override {
     const std::uint32_t owner = eng_.partition_[ev.dst];
     Worker& from = *eng_.workers_[wi_];
+    const bool is_null = ev.kind == kNullMsgKind;
+    eng_.count_send(from.stats, wi_, owner == wi_, is_null);
     if (owner == wi_) {
-      ++from.stats.messages_sent_local;
-      eng_.metrics_.shard(wi_).inc(obs::Metric::kMessagesLocal);
-      eng_.deliver(wi_, std::move(ev));
-    } else {
-      const bool is_null = ev.kind == kNullMsgKind;
-      if (is_null) {
-        ++from.stats.null_messages;
-        eng_.metrics_.shard(wi_).inc(obs::Metric::kNullMessages);
-      } else {
-        ++from.stats.messages_sent_remote;
-        eng_.metrics_.shard(wi_).inc(obs::Metric::kMessagesRemote);
-      }
-      VSIM_TRACE(if (eng_.trace_ != nullptr && !is_null) {
-        const double t = eng_.tnow();
-        eng_.trace_->instant(wi_, "net",
-                             ev.negative ? "send-anti" : "send", t, ev.src);
-        eng_.trace_->flow_out(wi_, trace_flow_id(ev), t);
-      });
-      eng_.net_->send(static_cast<std::uint32_t>(wi_), owner, std::move(ev),
-                      eng_.now(wi_));
+      eng_.deliver(from, std::move(ev), *this);
+      return;
     }
+    VSIM_TRACE(if (eng_.trace_ != nullptr && !is_null) {
+      const double t = eng_.tnow();
+      eng_.trace_->instant(wi_, "net", ev.negative ? "send-anti" : "send", t,
+                           ev.src);
+      eng_.trace_->flow_out(wi_, trace_flow_id(ev), t);
+    });
+    eng_.net_->send(static_cast<std::uint32_t>(wi_), owner, std::move(ev),
+                    eng_.now(wi_));
   }
 
-  void commit(const Event& ev) override {
-    if (!eng_.hook_) return;
-    if (eng_.ft_on_)
-      eng_.commit_buf_[ev.dst].push_back(ev);
-    else
-      eng_.hook_(ev);
-  }
+  void commit(const Event& ev) override { eng_.commit(ev); }
 
  private:
   ThreadedEngine& eng_;
@@ -129,14 +117,9 @@ class ThreadedEngine::ThreadedRouter final : public Router {
 
 ThreadedEngine::ThreadedEngine(LpGraph& graph, Partition partition,
                                RunConfig config)
-    : graph_(graph), partition_(std::move(partition)), config_(config) {
-  config_error_ = validate(config_);
-  if (config_error_) return;  // run() surfaces the error without starting
-  assert(partition_.size() == graph_.size());
-  lps_.reserve(graph_.size());
-  last_promise_.assign(graph_.size(), kTimeZero);
-  lb_events_base_.assign(graph_.size(), 0);
-  lb_undone_base_.assign(graph_.size(), 0);
+    : EngineCore(graph, std::move(partition), config, validate(config),
+                 config.num_workers) {
+  if (config_error_) return;
   workers_.reserve(config_.num_workers);
   for (std::size_t i = 0; i < config_.num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -144,85 +127,35 @@ ThreadedEngine::ThreadedEngine(LpGraph& graph, Partition partition,
     workers_.back()->inbox.reset(config_.num_workers);
     workers_.back()->ready.reset(graph_.size());
   }
+  all_lps_.resize(graph_.size());
   for (LpId id = 0; id < graph_.size(); ++id) {
-    lps_.emplace_back(&graph_.lp(id), config_.ordering, config_.strategy,
-                      initial_mode(config_.configuration, graph_.lp(id)),
-                      config_.max_history, config_.use_lookahead,
-                      config_.cancellation);
-    if (config_.strategy == ConservativeStrategy::kNullMessage) {
-      for (LpId src : graph_.fan_in(id)) lps_[id].add_input_channel(src);
-    }
-    const std::uint32_t w = partition_[id];
-    assert(w < workers_.size());
-    workers_[w]->ready.add(id, lps_[id].next_ts());
+    all_lps_[id] = id;
+    workers_[partition_[id]]->ready.add(id, lps_[id].next_ts());
   }
   barrier_ = std::make_unique<RoundBarrier>(config_.num_workers);
+  crashed_ = std::make_unique<std::atomic<bool>[]>(config_.num_workers);
 
-  // Assemble the transport stack bottom-up: wire -> (faults) -> channel.
   wire_ = std::make_unique<ThreadedWire>(*this);
-  Transport* top = wire_.get();
-  if (config_.transport.faults.active()) {
-    faulty_ = std::make_unique<FaultyTransport>(*wire_, config_.num_workers,
-                                                config_.transport.faults);
-    top = faulty_.get();
-  }
-  net_ = std::make_unique<ChannelStack>(*top, config_.num_workers,
-                                        config_.transport);
-  if (faulty_) net_->attach_faulty(faulty_.get());
+  assemble_transport(*wire_, config_.num_workers);
   net_->set_deliver([this](std::uint32_t w, Event&& ev) {
     VSIM_TRACE(if (trace_ != nullptr && ev.kind != kNullMsgKind) {
       const double t = tnow();
       trace_->instant(w, "net", ev.negative ? "recv-anti" : "recv", t, ev.dst);
       trace_->flow_in(w, trace_flow_id(ev), t);
     });
-    deliver(w, std::move(ev));
-  });
-
-  ft_on_ = config_.checkpoint.period > 0 ||
-           config_.transport.faults.crash_active();
-  crashed_ = std::make_unique<std::atomic<bool>[]>(config_.num_workers);
-  retired_.assign(config_.num_workers, false);
-  missed_heartbeats_.assign(config_.num_workers, 0);
-  crash_rng_.resize(config_.num_workers);
-  for (std::size_t w = 0; w < config_.num_workers; ++w) {
-    // Distinct multiplier from the links' fault RNG so crash draws never
-    // correlate with wire faults under the same seed.
-    crash_rng_[w] =
-        splitmix64(config_.transport.faults.seed * 0x20003u + w + 1);
-    if (crash_rng_[w] == 0) crash_rng_[w] = 1;
-  }
-  if (ft_on_) {
-    commit_buf_.resize(graph_.size());
-    store_ = CheckpointStore(config_.checkpoint.keep,
-                             config_.checkpoint.spill_dir);
-  }
-
-  metrics_ = obs::MetricsRegistry(config_.num_workers);
-  VSIM_TRACE({
-    trace_ = config_.trace;
-    if (trace_ == nullptr) {
-      if (obs::Tracer* t = obs::Tracer::from_env()) {
-        trace_own_ = t->session("threaded", config_.num_workers);
-        trace_ = trace_own_.get();
-      }
+    ThreadedRouter router(*this, w);
+    // A null promise the round sweep sent can reach the previous owner of
+    // an LP that the same round's rebalance migrated: pass it on.
+    if (partition_[ev.dst] != w) {
+      router.route(std::move(ev));
+      return;
     }
-    if (trace_ != nullptr) {
-      trace_->set_default_lp_labels(
-          [this](std::uint32_t id) { return graph_.lp(id).name(); });
-    }
+    deliver(*workers_[w], std::move(ev), router);
   });
+  open_trace("threaded");
 }
 
 ThreadedEngine::~ThreadedEngine() = default;
-
-void ThreadedEngine::refresh_key(std::size_t wi, LpId lp) {
-  workers_[wi]->ready.update(lp, lps_[lp].next_ts());
-}
-
-void ThreadedEngine::credit_parked(std::size_t wi, LpId lp) {
-  if (const std::uint64_t n = workers_[wi]->ready.take_credit(lp))
-    lps_[lp].note_blocked(n);
-}
 
 void ThreadedEngine::set_idle(Worker& w, bool idle) {
   if (w.idle == idle) return;
@@ -231,49 +164,6 @@ void ThreadedEngine::set_idle(Worker& w, bool idle) {
     idle_workers_.fetch_add(1, std::memory_order_acq_rel);
   else
     idle_workers_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void ThreadedEngine::deliver(std::size_t wi, Event ev) {
-  const LpId dst = ev.dst;
-  assert(partition_[dst] == wi);
-  const bool is_null = ev.kind == kNullMsgKind;
-  // Rollback detection via counter deltas around enqueue() (the only entry
-  // point that can trigger one); dst is owned by wi, so the reads are
-  // single-threaded.
-  const std::uint64_t rb0 = lps_[dst].stats().rollbacks;
-  const std::uint64_t un0 = lps_[dst].stats().events_undone;
-  // Credit before enqueue: a rollback may shrink the history, which changes
-  // how note_blocked() classifies the polls the LP sat out.
-  credit_parked(wi, dst);
-  ThreadedRouter router(*this, wi);
-  lps_[dst].enqueue(std::move(ev), router);
-  if (lps_[dst].stats().rollbacks != rb0) {
-    const std::uint64_t undone = lps_[dst].stats().events_undone - un0;
-    metrics_.shard(wi).observe(obs::Hist::kRollbackDepth,
-                               static_cast<double>(undone));
-    VSIM_TRACE(if (trace_ != nullptr) {
-      trace_->instant(wi, "tw", "rollback", tnow(), dst, "undone",
-                      static_cast<std::int64_t>(undone));
-    });
-  }
-  refresh_key(wi, dst);
-  if (is_null && config_.strategy == ConservativeStrategy::kNullMessage)
-    send_null_messages_for(wi, dst);
-}
-
-void ThreadedEngine::send_null_messages_for(std::size_t wi, LpId lp) {
-  const VirtualTime promise = lps_[lp].null_promise();
-  if (!(promise > last_promise_[lp])) return;
-  last_promise_[lp] = promise;
-  ThreadedRouter router(*this, wi);
-  for (LpId dst : graph_.fan_out(lp)) {
-    Event n;
-    n.ts = promise;
-    n.src = lp;
-    n.dst = dst;
-    n.kind = kNullMsgKind;
-    router.route(std::move(n));
-  }
 }
 
 std::size_t ThreadedEngine::flush_outboxes(std::size_t wi) {
@@ -305,46 +195,6 @@ std::size_t ThreadedEngine::drain_own_mailbox(std::size_t wi) {
   return n;
 }
 
-bool ThreadedEngine::try_process_one(std::size_t wi) {
-  Worker& w = *workers_[wi];
-  // Pop owned LPs in ascending (next_ts, lp) order off the worker's ready
-  // heap.  A blocked LP parks until a delivery or the next round re-arms it,
-  // so each pass costs O(log n) per LP it touches, not a walk of `owned`.
-  ReadyQueue& q = w.ready;
-  q.begin_pass();
-  while (!q.empty()) {
-    const VirtualTime ts = q.top_key();
-    if (ts.pt > config_.until) break;  // later keys are even larger
-    const LpId lp = q.top();
-    const Eligibility e = lps_[lp].peek(safe_bound_, config_.until);
-    if (e != Eligibility::kReady) {
-      // A finite cached key within the horizon is never kIdle.
-      assert(e == Eligibility::kBlocked);
-      lps_[lp].note_blocked();
-      q.park_top();
-      continue;
-    }
-    ThreadedRouter router(*this, wi);
-    double exec_start = 0.0;
-    VSIM_TRACE(if (trace_ != nullptr) exec_start = tnow());
-    const double cost = lps_[lp].process_next(router);
-    w.stats.busy_cost += cost;
-    ++w.stats.events;
-    ++w.events_since_round;
-    metrics_.shard(wi).inc(obs::Metric::kEventsProcessed);
-    VSIM_TRACE(if (trace_ != nullptr) {
-      trace_->complete(wi, "execute", to_string(ts.phase()), exec_start,
-                       tnow() - exec_start, lp, "pt",
-                       static_cast<std::int64_t>(ts.pt));
-    });
-    refresh_key(wi, lp);
-    if (config_.strategy == ConservativeStrategy::kNullMessage)
-      send_null_messages_for(wi, lp);
-    return true;
-  }
-  return false;
-}
-
 void ThreadedEngine::worker_main(std::size_t wi) {
   Worker& w = *workers_[wi];
   std::uint32_t idle_spins = 0;
@@ -372,11 +222,11 @@ void ThreadedEngine::worker_main(std::size_t wi) {
       // bounded so mail keeps draining and round requests stay responsive.
       bool processed = false;
       bool crash_now = false;
+      ThreadedRouter router(*this, wi);
       for (std::uint32_t slice = 0; slice < kEventSlice; ++slice) {
-        if (!try_process_one(wi)) break;
+        if (!try_process_one(w, router)) break;
         processed = true;
-        // Crash draws advance per processed event (exact-count schedules).
-        if (ft_on_ && maybe_crash(wi)) {
+        if (ft_on_ && crash_.fire(wi, w.stats.events)) {
           crash_now = true;
           break;
         }
@@ -433,7 +283,7 @@ void ThreadedEngine::worker_main(std::size_t wi) {
       continue;
     }
 
-    // ---- Synchronisation round ----
+    // ---- Synchronisation round (DESIGN.md "GVT round pipeline") ----
     idle_spins = 0;
     double round_start = 0.0;
     VSIM_TRACE(if (trace_ != nullptr) round_start = tnow());
@@ -494,7 +344,9 @@ void ThreadedEngine::worker_main(std::size_t wi) {
     if (wi == coord) {
       ++gvt_rounds_;
       metrics_.shard(wi).inc(obs::Metric::kGvtRounds);
+      gate_.begin_round();
       if (crash_pending) {
+        verdict_ = RoundVerdict{};
         double rec_start = 0.0;
         VSIM_TRACE(if (trace_ != nullptr) rec_start = tnow());
         const std::uint32_t rec0 = recoveries_;
@@ -505,63 +357,10 @@ void ThreadedEngine::worker_main(std::size_t wi) {
           trace_->complete(wi, "ckpt", "recovery", rec_start,
                            tnow() - rec_start);
         });
+        (void)rec0;
+        (void)rec_start;
       } else {
-        const VirtualTime gvt = gvt_candidate_;
-        gvt_candidate_ = kTimeInf;
-        safe_bound_ = gvt;
-        std::uint64_t total_events = 0;
-        for (const auto& worker : workers_)
-          total_events += worker->stats.events;
-        bool stop = false;
-        if (net_->error()) {
-          // The reliable layer gave up on a link: unwind with the error.
-          transport_failed_ = true;
-          stop = true;
-        } else if (gvt == kTimeInf || gvt.pt > config_.until) {
-          stop = true;
-        } else if (gvt == last_gvt_ && total_events == last_total_events_) {
-          if (++stall_rounds_ >= config_.deadlock_rounds) {
-            deadlocked_ = true;
-            // All other workers are parked at the next barrier, so reading
-            // their LPs here is race-free.
-            deadlock_report_ = build_deadlock_report(gvt);
-            stop = true;
-          }
-        } else {
-          stall_rounds_ = 0;
-        }
-        last_gvt_ = gvt;
-        last_total_events_ = total_events;
-        if (stop) {
-          done_.store(true, std::memory_order_release);
-        } else {
-          // Gated on GVT progress: a same-frontier capture is redundant and
-          // its rollback-all can pin GVT via re-execution (see the machine
-          // engine's periodic-capture comment).  The counter stays
-          // accumulated so the capture retries once the frontier moves.
-          if (ft_on_ && config_.checkpoint.period > 0 &&
-              ++rounds_since_ckpt_ >= config_.checkpoint.period &&
-              gvt > last_ckpt_gvt_) {
-            rounds_since_ckpt_ = 0;
-            last_ckpt_gvt_ = gvt;
-            double ck_start = 0.0;
-            VSIM_TRACE(if (trace_ != nullptr) ck_start = tnow());
-            coordinator_checkpoint(wi, gvt);
-            VSIM_TRACE(if (trace_ != nullptr) {
-              trace_->complete(wi, "ckpt", "checkpoint", ck_start,
-                               tnow() - ck_start);
-            });
-          }
-          // Dynamic load balancing, after the (optional) capture: the
-          // network is quiescent and everyone else is parked, so ownership
-          // can change hands with nothing in flight under the old mapping.
-          if (config_.rebalance.enabled() &&
-              ++rounds_since_rebalance_ >= config_.rebalance.period) {
-            rounds_since_rebalance_ = 0;
-            coordinator_rebalance(wi);
-          }
-          round_requested_.store(false, std::memory_order_release);
-        }
+        coordinator_verdict(wi);
       }
       // Safe merge point: every other worker is parked at the barrier below,
       // so no shard is being written.
@@ -569,47 +368,29 @@ void ThreadedEngine::worker_main(std::size_t wi) {
     }
     barrier_->arrive_and_wait();
     if (!crash_pending) {
-      // Fossil collect and adapt under the new GVT.  Each worker is its own
-      // adaptation scope: the demotion budget drains in ascending LP id,
-      // independent of the other threads' progress.  Only dirty LPs are
-      // visited (ReadyQueue::take_dirty): for any other LP the visit is a
-      // no-op, so the sweep costs O(activity), not O(owned).
-      const VirtualTime gvt = safe_bound_;
+      // Each worker sweeps its own dirty LPs as its own adaptation scope;
+      // for any other LP the visit is a no-op, so the sweep costs
+      // O(activity), not O(owned).  A stopping round commits everything.
       ThreadedRouter router(*this, wi);
-      AdaptController adapt(config_.adapt, config_.num_workers);
-      adapt.begin_round(w.ready.size());
-      // Parked LPs' blocked polls land before adapt() reads them.
       w.ready.settle_credits(
           [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
       w.ready.take_dirty(w.sweep);
-      for (const LpId lp : w.sweep) {
-        lps_[lp].fossil_collect(done_ ? kTimeInf : gvt, router);
-        bool deferred = false;
-        if (config_.configuration == Configuration::kDynamic) {
-          const AdaptDecision d = adapt.adapt(lps_[lp]);
-          deferred = d.action == AdaptAction::kDeferred;
-          if (deferred) metrics_.shard(wi).inc(obs::Metric::kAdaptDeferrals);
-          VSIM_TRACE(if (trace_ != nullptr && d.action != AdaptAction::kNone) {
-            trace_->instant(wi, "adapt", to_string(d.action), tnow(), lp,
-                            "waste_pct",
-                            static_cast<std::int64_t>(d.waste_rate * 100.0));
-          });
-        } else {
-          lps_[lp].reset_window();
-        }
-        if (config_.strategy == ConservativeStrategy::kNullMessage)
-          send_null_messages_for(wi, lp);
-        if (lps_[lp].round_visit_pending() || deferred) w.ready.touch(lp);
+      sweep(w.sweep, w.ready.size(),
+            done_.load(std::memory_order_acquire) ? kTimeInf : safe_bound_,
+            router, &w.ready, [](LpId) { return true; });
+      if (verdict_.rebalance && !verdict_.stop) {
+        barrier_->arrive_and_wait();  // every sweep finished
+        if (wi == coord) coordinator_rebalance(wi);
       }
-      metrics_.shard(wi).inc(obs::Metric::kRoundLpVisits, w.sweep.size());
-      w.ready.rearm();  // the new bound may unblock every parked LP
     }
     w.events_since_round = 0;
     owes_slice = true;
     barrier_->arrive_and_wait();
+    if (!crash_pending) w.ready.rearm();  // the new bound may unblock any
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->complete(wi, "gvt", "gvt", round_start, tnow() - round_start);
     });
+    (void)round_start;
   }
 
   // Final commit of any remaining history.  A failed run must not commit
@@ -634,177 +415,60 @@ bool ThreadedEngine::any_crashed_unretired() const {
   return false;
 }
 
-bool ThreadedEngine::maybe_crash(std::size_t wi) {
-  const FaultPlan& plan = config_.transport.faults;
-  const Worker& w = *workers_[wi];
-  bool die = false;
-  for (const WorkerCrash& c : plan.crashes) {
-    // Exact match on the cumulative event count: monotone, so a crash
-    // point replayed after recovery does not re-fire.
-    if (c.worker == wi && c.after_events == w.stats.events) die = true;
-  }
-  // The draw advances on every processed event whether or not it kills, so
-  // the crash schedule is a pure function of the seed (and is deliberately
-  // NOT restored from checkpoints: a restored cursor would re-roll the
-  // same crash forever).
-  if (plan.crash_rate > 0 &&
-      xorshift_uniform(crash_rng_[wi]) < plan.crash_rate)
-    die = true;
-  return die;
-}
-
-bool ThreadedEngine::coordinator_recover() {
-  bool due = false;
-  std::uint32_t first_dead = 0;
-  bool have_dead = false;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (!crashed_[w].load(std::memory_order_acquire) || retired_[w]) continue;
-    if (!have_dead) {
-      first_dead = static_cast<std::uint32_t>(w);
-      have_dead = true;
-    }
-    if (++missed_heartbeats_[w] >= config_.checkpoint.heartbeat_rounds)
-      due = true;
-  }
-  if (!due) return true;
-  const auto fail = [&](std::string message) {
-    recovery_error_ =
-        RecoveryError{first_dead, gvt_rounds_, recoveries_, std::move(message)};
-    failed_ = true;
-    done_.store(true, std::memory_order_release);
-    return false;
-  };
-  if (recoveries_ >= config_.checkpoint.max_recoveries)
-    return fail("recovery budget exhausted (max_recoveries)");
-  const Checkpoint* ck = store_.latest();
-  if (ck == nullptr) return fail("no checkpoint available");
-
-  // A dead thread cannot be respawned, so both policies redistribute the
-  // lost workers' LPs over the survivors -- with the load-balancer's
-  // load/cut-aware placement (partition/rebalance.h), not round-robin.
-  for (std::size_t w = 0; w < workers_.size(); ++w)
-    if (crashed_[w].load(std::memory_order_acquire)) retired_[w] = true;
-  std::vector<bool> alive(workers_.size());
-  bool any_alive = false;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    alive[w] = !retired_[w];
-    any_alive = any_alive || alive[w];
-  }
-  if (!any_alive)
-    return fail("no surviving worker to redistribute LPs to");
-  {
-    std::vector<double> work(lps_.size(), 0.0);
-    for (LpId id = 0; id < lps_.size(); ++id) {
-      const LpStats& s = lps_[id].stats();
-      work[id] = static_cast<double>(
-          s.events_processed - std::min(s.events_processed, s.events_undone));
-    }
-    partition::redistribute_orphans(graph_, partition_, work, alive,
-                                    config_.rebalance);
-  }
-  ++recoveries_;
-  ++ckstats_.recoveries;
-
-  restore_checkpoint(*ck, lps_, last_promise_, *net_, faulty_.get());
-  ckstats_.lps_restored += lps_.size();
-  for (auto& wp : workers_) {
-    // In-flight packets belong to the abandoned timeline: published batches
-    // and unflushed producer buffers alike.  Every surviving worker is
-    // parked at a barrier, so touching their mailboxes here is race-free.
-    wp->inbox.clear();
-    for (auto& buf : wp->outbox) buf.clear();
-    wp->events_since_round = 0;
-    wp->ready.reset(lps_.size());
-  }
-  for (LpId id = 0; id < lps_.size(); ++id)
-    workers_[partition_[id]]->ready.add(id, lps_[id].next_ts());
-  safe_bound_ = last_gvt_ = last_ckpt_gvt_ = ck->gvt;
+void ThreadedEngine::coordinator_verdict(std::size_t coord) {
+  const VirtualTime gvt = gvt_candidate_;
+  gvt_candidate_ = kTimeInf;
+  safe_bound_ = gvt;
   std::uint64_t total_events = 0;
-  for (const auto& wp : workers_) total_events += wp->stats.events;
-  last_total_events_ = total_events;
-  stall_rounds_ = 0;
-  for (auto& buf : commit_buf_) buf.clear();
-  for (auto& h : missed_heartbeats_) h = 0;
-  return true;
-}
-
-void ThreadedEngine::coordinator_checkpoint(std::size_t coord,
-                                            VirtualTime gvt) {
-  // Fossil first so the snapshot's committed frontier matches gvt, then
-  // undo all remaining speculation with deferred cancellation: no
-  // anti-messages, so the drained network stays quiescent for capture.
-  ThreadedRouter router(*this, coord);
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    lps_[id].fossil_collect(gvt, router);
-    if (lps_[id].history_size() == 0) continue;  // pending set unchanged
-    credit_parked(partition_[id], id);
-    lps_[id].rollback_all_deferred();
-    refresh_key(partition_[id], id);
+  for (const auto& worker : workers_) total_events += worker->stats.events;
+  // The reliable layer giving up on a link unwinds the run with the error.
+  transport_failed_ = net_->error().has_value();
+  verdict_ = gate_.judge(gvt, total_events, transport_failed_);
+  if (verdict_.deadlock) {
+    deadlocked_ = true;
+    // All other workers are parked at the next barrier, so reading their
+    // LPs here is race-free.
+    deadlock_report_ = deadlock_report(gvt);
   }
-  Checkpoint ck = capture_checkpoint(gvt_rounds_, gvt, lps_, last_promise_,
-                                     *net_, faulty_.get());
-  ++ckstats_.checkpoints;
-  // The snapshot covers everything committed so far: release the buffered
-  // commit-hook invocations (recovery can only rewind to this line or
-  // later).
-  flush_commits();
-  store_.put(std::move(ck));
+  if (verdict_.stop) {
+    done_.store(true, std::memory_order_release);
+    return;
+  }
+  if (verdict_.checkpoint) {
+    double ck_start = 0.0;
+    VSIM_TRACE(if (trace_ != nullptr) ck_start = tnow());
+    // Steps 1-3 for every worker's LPs at once; the workers' own sweeps
+    // then find these credits settled and these LPs collected.
+    for (auto& wp : workers_)
+      wp->ready.settle_credits(
+          [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
+    ThreadedRouter router(*this, coord);
+    undo_speculation(all_lps_, gvt, router, [&](LpId lp) {
+      workers_[partition_[lp]]->ready.update(lp, lps_[lp].next_ts());
+    });
+    store_checkpoint(gvt);
+    VSIM_TRACE(if (trace_ != nullptr) {
+      trace_->complete(coord, "ckpt", "checkpoint", ck_start,
+                       tnow() - ck_start);
+    });
+    (void)ck_start;
+  }
+  round_requested_.store(false, std::memory_order_release);
 }
 
 void ThreadedEngine::coordinator_rebalance(std::size_t coord) {
-  // Per-LP work since the previous rebalance attempt.  Coordinator-only
-  // inside the exclusive section: every other worker is parked, so reading
-  // foreign LPs' stats is race-free (same argument as checkpoint capture).
-  std::vector<double> work(lps_.size(), 0.0);
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    const LpStats& s = lps_[id].stats();
-    const double ev =
-        static_cast<double>(s.events_processed - lb_events_base_[id]);
-    const double un =
-        static_cast<double>(s.events_undone - lb_undone_base_[id]);
-    work[id] = std::max(ev - un, 0.0) + config_.rebalance.rollback_weight * un;
-    lb_events_base_[id] = s.events_processed;
-    lb_undone_base_[id] = s.events_undone;
-  }
-  std::vector<bool> alive(workers_.size());
-  for (std::size_t w = 0; w < workers_.size(); ++w)
-    alive[w] = !worker_dead(w);
-
-  const partition::RebalancePlan plan = partition::plan_rebalance(
-      graph_, partition_, work, alive, config_.rebalance);
-  metrics_.shard(coord).gauge_max(obs::Gauge::kLbImbalance,
-                                  plan.imbalance_before);
-  metrics_.shard(coord).inc(obs::Metric::kRebalanceRounds);
+  const partition::RebalancePlan plan = plan_rebalance(coord);
   if (plan.empty()) return;
-
   double lb_start = 0.0;
   VSIM_TRACE(if (trace_ != nullptr) lb_start = tnow());
   ThreadedRouter router(*this, coord);
   for (const partition::Migration& mv : plan.moves) {
     Worker& src = *workers_[mv.from];
-    Worker& dst = *workers_[mv.to];
-    credit_parked(mv.from, mv.lp);
+    if (const std::uint64_t n = src.ready.take_credit(mv.lp))
+      lps_[mv.lp].note_blocked(n);
     src.ready.remove(mv.lp);
-    // Pack through the checkpoint codec: undo speculation with deferred
-    // cancellation (no anti-messages, the drained network stays quiescent;
-    // re-execution settles the deferred sends as suppressed resends), then
-    // snapshot the committed frontier and reinstate it under the new owner.
-    //
-    // Fossil-collect at the round's GVT FIRST (this round's collection
-    // phase runs after this exclusive section, so the LP may still hold
-    // speculation the new frontier has already finalised).  The deferred
-    // rollback is protocol-transparent only for events strictly above GVT:
-    // receivers fossil-collect their sends this very round, and a parked
-    // send whose receiver has committed it can never be cancelled again --
-    // if the LP is later demoted, conservative re-execution settles the
-    // stale entry as an anti-message below the receiver's commit frontier
-    // and a fresh-uid duplicate, corrupting the committed trace.
-    lps_[mv.lp].fossil_collect(safe_bound_, router);
-    lps_[mv.lp].rollback_all_deferred();
-    const LpCheckpoint ck = lps_[mv.lp].make_checkpoint();
-    partition_[mv.lp] = mv.to;
-    lps_[mv.lp].restore_from(ck);
-    dst.ready.add(mv.lp, lps_[mv.lp].next_ts());
+    migrate_lp(mv.lp, mv.to, safe_bound_, router);
+    workers_[mv.to]->ready.add(mv.lp, lps_[mv.lp].next_ts());
     metrics_.shard(coord).inc(obs::Metric::kMigrations);
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->instant(coord, "lb", "migrate", tnow(), mv.lp, "to",
@@ -816,39 +480,56 @@ void ThreadedEngine::coordinator_rebalance(std::size_t coord) {
                      obs::kNoTraceLp, "moves",
                      static_cast<std::int64_t>(plan.moves.size()));
   });
+  (void)lb_start;
 }
 
-void ThreadedEngine::flush_commits() {
-  if (!hook_) return;
-  for (auto& buf : commit_buf_) {
-    for (const Event& ev : buf) hook_(ev);
-    buf.clear();
+bool ThreadedEngine::coordinator_recover() {
+  std::uint32_t first_dead = 0;
+  if (!heartbeat_due(
+          [&](std::size_t w) {
+            return crashed_[w].load(std::memory_order_acquire);
+          },
+          &first_dead))
+    return true;
+  // A dead thread cannot be respawned, so both policies redistribute the
+  // lost workers' LPs over the survivors.
+  const Checkpoint* ck = recovery_point(first_dead);
+  if (ck != nullptr)
+    for (std::size_t w = 0; w < workers_.size(); ++w)
+      if (crashed_[w].load(std::memory_order_acquire)) retired_[w] = true;
+  if (ck == nullptr || !redistribute(orphan_work(), first_dead)) {
+    done_.store(true, std::memory_order_release);
+    return false;
   }
+  restore(*ck);
+  for (auto& wp : workers_) {
+    // In-flight packets belong to the abandoned timeline: published batches
+    // and unflushed producer buffers alike.  Every surviving worker is
+    // parked at a barrier, so touching their mailboxes here is race-free.
+    wp->inbox.clear();
+    for (auto& buf : wp->outbox) buf.clear();
+    wp->events_since_round = 0;
+    wp->ready.reset(lps_.size());
+  }
+  for (LpId id = 0; id < lps_.size(); ++id)
+    workers_[partition_[id]]->ready.add(id, lps_[id].next_ts());
+  return true;
 }
 
 RunStats ThreadedEngine::run() {
+  RunStats out;
   if (config_error_) {
-    RunStats out;
     out.config_error = config_error_;
     return out;
   }
-
-  for (const Event& ev : graph_.initial_events()) {
-    const std::size_t wi = partition_[ev.dst];
-    Event copy = ev;
-    ThreadedRouter router(*this, wi);
-    lps_[ev.dst].enqueue(std::move(copy), router);
-    refresh_key(wi, ev.dst);
-  }
-
-  if (ft_on_) {
-    // Round-zero baseline, taken before any thread starts: recovery always
-    // has a line to rewind to, even when the first crash precedes the
-    // first periodic checkpoint.
-    store_.put(capture_checkpoint(0, kTimeZero, lps_, last_promise_, *net_,
-                                  faulty_.get()));
-    ++ckstats_.checkpoints;
-  }
+  seed_initial_events();
+  for (const Event& ev : graph_.initial_events())
+    workers_[partition_[ev.dst]]->ready.update(ev.dst,
+                                                lps_[ev.dst].next_ts());
+  // Round-zero baseline, taken before any thread starts: recovery always
+  // has a line to rewind to, even when the first crash precedes the first
+  // periodic checkpoint.
+  if (ft_on_) store_checkpoint(kTimeZero);
 
   trace_epoch_ = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -862,59 +543,19 @@ RunStats ThreadedEngine::run() {
     // Every thread exited via crash-stop before any surviving coordinator
     // could run a round: there is nobody left to recover.
     std::uint32_t first_dead = 0;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (crashed_[w].load(std::memory_order_acquire)) {
-        first_dead = static_cast<std::uint32_t>(w);
-        break;
-      }
-    }
-    recovery_error_ = RecoveryError{first_dead, gvt_rounds_, recoveries_,
-                                    "all workers crashed"};
-    failed_ = true;
+    while (!crashed_[first_dead].load(std::memory_order_acquire)) ++first_dead;
+    fail_recovery(first_dead, "all workers crashed");
   }
 
-  RunStats out;
-  out.per_lp.reserve(lps_.size());
-  for (const LpRuntime& rt : lps_) out.per_lp.push_back(rt.stats());
-  out.per_worker.reserve(workers_.size());
+  fill_run_stats(out);
   for (const auto& w : workers_) out.per_worker.push_back(w->stats);
-  out.gvt_rounds = gvt_rounds_;
-  out.deadlocked = deadlocked_;
-  out.transport = net_->counters();
-  if (auto err = net_->error()) {
-    out.transport_error = std::move(err);
-  } else if (!config_.transport.reliable && out.transport.dropped > 0) {
-    TransportError err;
-    err.message = "packets were dropped without reliable delivery; "
-                  "committed traces are not trustworthy";
-    out.transport_error = std::move(err);
-  }
   out.deadlock_report = deadlock_report_;
-  out.checkpoint = ckstats_;
   out.checkpoint.crashes = crash_count_.load(std::memory_order_acquire);
-  out.checkpoint.disk_bytes = store_.disk_bytes();
-  out.recovery_error = recovery_error_;
   // Buffered commits are flushed even on a failed run: everything in the
   // buffers was validated by a GVT round, only never released.
   flush_commits();
-  absorb_run_stats(metrics_, out);
-  metrics_.merge();
-  out.metrics = metrics_.merged();
+  finish_metrics(out);
   return out;
-}
-
-DeadlockReport ThreadedEngine::build_deadlock_report(VirtualTime gvt) {
-  DeadlockReport report;
-  report.gvt = gvt;
-  report.transport_starvation =
-      !config_.transport.reliable && net_->counters().dropped > 0;
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    LpRuntime& rt = lps_[id];
-    if (!rt.has_pending()) continue;
-    report.blocked.push_back({id, rt.next_ts(), rt.min_channel_clock(),
-                              rt.pending_count(), rt.mode()});
-  }
-  return report;
 }
 
 }  // namespace vsim::pdes

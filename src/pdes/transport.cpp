@@ -5,6 +5,9 @@
 
 namespace vsim::pdes {
 
+/// Retransmit-timeout growth per retry (exponential backoff).
+constexpr double kRtoBackoff = 2.0;
+
 TransportCounters& TransportCounters::operator+=(const TransportCounters& o) {
   data_sent += o.data_sent;
   acks_sent += o.acks_sent;
@@ -248,7 +251,7 @@ std::size_t ChannelStack::retransmit_due(std::uint32_t worker, double now,
         return sent;
       }
       ++f.attempts;
-      f.rto *= config_.rto_backoff;
+      f.rto *= kRtoBackoff;
       f.next_retry = now + f.rto;
       ++sl.counters.retransmits;
       if (transmit_) transmit_(worker, Packet::Kind::kData, true);

@@ -274,10 +274,13 @@ TEST(StressMatrix, EveryConfigurationAndOrderingMatchesOracleBitExact) {
 }
 
 // Seed-sweep determinism gate for LP migration: every seed runs the machine
-// engine with an aggressive rebalance cadence from a deliberately imbalanced
-// `blocks` placement and must match the oracle bit-for-bit.  Across the
-// sweep at least one run must actually migrate (otherwise the gate would be
-// vacuously green), and the imbalance gauge must have been published.
+// and the threaded engine with an aggressive rebalance cadence from a
+// deliberately imbalanced `blocks` placement and must match the oracle
+// bit-for-bit.  The checkpoint period equals the rebalance period, so
+// capture and migration land on the same rounds of the shared round
+// pipeline.  Across the sweep at least one run must actually migrate
+// (otherwise the gate would be vacuously green), and the imbalance gauge
+// must have been published.
 TEST(StressMatrix, RebalancingMatchesOracleBitExact) {
   const std::uint64_t seeds = stress_seeds();
   testutil::Watchdog wd("StressMatrix.RebalancingMatchesOracleBitExact",
@@ -302,7 +305,6 @@ TEST(StressMatrix, RebalancingMatchesOracleBitExact) {
                                      Configuration::kMixed,
                                      Configuration::kDynamic};
     for (std::size_t ci = 0; ci < 3; ++ci) {
-      Built par = build(p);
       RunConfig rc;
       rc.num_workers = 2 + (seed + ci) % 5;
       rc.configuration = configs[ci];
@@ -313,21 +315,34 @@ TEST(StressMatrix, RebalancingMatchesOracleBitExact) {
       rc.rebalance.period = 1 + (seed + ci) % 3;
       rc.rebalance.imbalance_trigger = 0.05;
       rc.rebalance.max_moves = 2 + ci;
-      pdes::MachineEngine eng(
-          *par.graph, partition::blocks(par.graph->size(), rc.num_workers),
-          rc);
-      eng.set_commit_hook(par.recorder->hook());
-      const auto st = eng.run();
-      ASSERT_FALSE(st.deadlocked)
-          << "seed " << seed << " cfg " << to_string(rc.configuration);
-      ASSERT_EQ(vhdl::TraceRecorder::diff(*ref.recorder, *par.recorder), "")
-          << "seed " << seed << " workers " << rc.num_workers << " cfg "
-          << to_string(rc.configuration);
-      total_migrations += st.metrics.counter(obs::Metric::kMigrations);
-      if (st.metrics.gauge(obs::Gauge::kLbImbalance) > 0.0)
-        gauge_seen = true;
-      EXPECT_GE(st.metrics.counter(obs::Metric::kRebalanceRounds), 1u)
-          << "seed " << seed;
+      for (const bool threaded : {false, true}) {
+        // The threaded leg also captures on the rebalance rounds.
+        rc.checkpoint.period = threaded ? rc.rebalance.period : 0;
+        Built par = build(p);
+        const pdes::Partition part =
+            partition::blocks(par.graph->size(), rc.num_workers);
+        pdes::RunStats st;
+        if (threaded) {
+          pdes::ThreadedEngine eng(*par.graph, part, rc);
+          eng.set_commit_hook(par.recorder->hook());
+          st = eng.run();
+        } else {
+          pdes::MachineEngine eng(*par.graph, part, rc);
+          eng.set_commit_hook(par.recorder->hook());
+          st = eng.run();
+        }
+        const char* engine = threaded ? "threaded" : "machine";
+        ASSERT_FALSE(st.deadlocked) << engine << " seed " << seed << " cfg "
+                                    << to_string(rc.configuration);
+        ASSERT_EQ(vhdl::TraceRecorder::diff(*ref.recorder, *par.recorder), "")
+            << engine << " seed " << seed << " workers " << rc.num_workers
+            << " cfg " << to_string(rc.configuration);
+        total_migrations += st.metrics.counter(obs::Metric::kMigrations);
+        if (st.metrics.gauge(obs::Gauge::kLbImbalance) > 0.0)
+          gauge_seen = true;
+        EXPECT_GE(st.metrics.counter(obs::Metric::kRebalanceRounds), 1u)
+            << engine << " seed " << seed;
+      }
     }
   }
   EXPECT_GT(total_migrations, 0u);

@@ -284,7 +284,7 @@ TEST(Rebalance, RedistributeOrphansBalancesAndPrefersNeighbours) {
   pdes::Partition part{0, 2, 2, 1, 1, 1};
   const std::vector<double> work{2.0, 2.0, 2.0, 1.0, 1.0, 1.0};
   const std::vector<bool> alive{true, false, true};
-  redistribute_orphans(g, part, work, alive, lb_config());
+  redistribute_orphans(g, part, work, alive);
   std::vector<std::size_t> counts(3, 0);
   for (pdes::LpId lp = 0; lp < part.size(); ++lp) {
     EXPECT_NE(part[lp], 1u) << "LP " << lp << " left on the dead worker";
@@ -300,7 +300,7 @@ TEST(Rebalance, RedistributeOrphansWithZeroWorkSpreadsByCount) {
   pdes::Partition part(8, 0);  // worker 0 died owning everything
   const std::vector<double> work(8, 0.0);
   const std::vector<bool> alive{false, true, true};
-  redistribute_orphans(g, part, work, alive, lb_config());
+  redistribute_orphans(g, part, work, alive);
   std::vector<std::size_t> counts(3, 0);
   for (auto w : part) ++counts[w];
   EXPECT_EQ(counts[0], 0u);

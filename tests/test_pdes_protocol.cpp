@@ -1,9 +1,14 @@
 // Protocol-level unit tests for LpRuntime: Time Warp rollback,
 // anti-message annihilation, fossil collection, conservative eligibility,
-// ordering modes, memory stalls and mode switching.
+// ordering modes, memory stalls and mode switching; and for RoundGate, the
+// coordinator's per-round verdict every engine shares.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "pdes/adaptive.h"
+#include "pdes/engine_core.h"
 #include "pdes/lp_runtime.h"
 
 namespace vsim::pdes {
@@ -710,6 +715,102 @@ TEST_F(LpRuntimeTest, UnsaveableLpIsForcedConservative) {
   EXPECT_EQ(rt.mode(), SyncMode::kConservative);
   rt.set_mode(SyncMode::kOptimistic);  // must be refused
   EXPECT_EQ(rt.mode(), SyncMode::kConservative);
+}
+
+// ---------------------------------------------------------------------------
+// RoundGate: one table row per rule, each a scripted sequence of rounds.
+// ---------------------------------------------------------------------------
+
+struct GateStep {
+  bool rewind = false;  ///< rewind(gvt) instead of a round
+  VirtualTime gvt;
+  std::uint64_t events = 0;
+  std::string inputs;  ///< 'T' transport error, 'C' crash pending
+  std::string expect;  ///< verdict flags: 's'top 'd'eadlock 'c'kpt 'b'alance
+  std::uint32_t stall = 0;
+};
+
+GateStep round(VirtualTime gvt, std::uint64_t events, std::string expect,
+               std::uint32_t stall = 0, std::string inputs = "") {
+  return {false, gvt, events, std::move(inputs), std::move(expect), stall};
+}
+GateStep rewind(VirtualTime gvt) { return {true, gvt, 0, "", "", 0}; }
+
+struct GateCase {
+  const char* name;
+  std::uint32_t deadlock_rounds = 3;
+  std::uint32_t checkpoint_period = 0;
+  std::uint32_t rebalance_period = 0;
+  PhysTime until = 100;
+  std::vector<GateStep> steps;
+};
+
+TEST(RoundGate, VerdictTable) {
+  const VirtualTime g5{5, 0};
+  const VirtualTime g7{7, 0};
+  const VirtualTime g9{9, 0};
+  const std::vector<GateCase> cases = {
+      {"stall counter deadlocks at deadlock_rounds, resets on progress",
+       3, 0, 0, 100,
+       {round(g5, 10, ""), round(g5, 10, "", 1), round(g5, 10, "", 2),
+        round(g5, 12, ""),  // an event was processed: progress
+        round(g5, 12, "", 1), round(g7, 12, ""),  // GVT moved: progress
+        round(g7, 12, "", 1), round(g7, 12, "", 2),
+        round(g7, 12, "sd", 3)}},
+      {"stop at infinite GVT, past until, on a transport error", 3, 1, 1,
+       100,
+       {round(kTimeInf, 0, "s"), round(VirtualTime{101, 0}, 0, "s"),
+        round(VirtualTime{100, 2}, 0, "cb"),  // until is inclusive
+        round(g9, 1, "s", 0, "T")}},
+      {"a stopped round at a stalled frontier is never a stall", 1, 0, 0,
+       100,
+       {round(kTimeInf, 0, "s"), round(kTimeInf, 0, "s")}},
+      {"livelock gate: no capture at an unadvanced GVT, counter kept", 3, 2,
+       0, 100,
+       {round(g5, 1, ""), round(g5, 2, "c"),  // period reached, GVT advanced
+        round(g5, 3, ""), round(g5, 4, ""),   // due again, but GVT stood
+        round(g5, 5, ""),                     // ... and the counter is kept:
+        round(g7, 6, "c"),                    // fires on the first advance
+        round(g9, 7, "")}},
+      {"no checkpoint or rebalance with a crash pending", 3, 1, 1, 100,
+       {round(g5, 1, "", 0, "C"), round(g7, 2, "cb"),
+        round(g9, 2, "", 0, "C"), round(g9, 2, "", 1, "C")}},
+      {"rebalance every period live rounds", 3, 0, 2, 100,
+       {round(g5, 1, ""), round(g7, 2, "b"), round(g9, 3, ""),
+        round(g9, 4, "b")}},
+      {"after rewind the first round never counts as a stall", 2, 1, 0, 100,
+       {round(g5, 8, "c"), round(g5, 8, "", 1), rewind(g5),
+        round(g5, 8, ""),  // no stall; no same-frontier capture
+        round(g5, 8, "", 1), round(g5, 8, "sd", 2)}},  // later ones count
+      {"rewind moves the capture frontier", 3, 1, 0, 100,
+       {round(g9, 1, "c"), rewind(g5), round(g7, 2, "c")}},
+  };
+  for (const GateCase& c : cases) {
+    RunConfig rc;
+    rc.deadlock_rounds = c.deadlock_rounds;
+    rc.checkpoint.period = c.checkpoint_period;
+    rc.rebalance.period = c.rebalance_period;
+    rc.until = c.until;
+    RoundGate gate(rc);
+    for (std::size_t i = 0; i < c.steps.size(); ++i) {
+      const GateStep& st = c.steps[i];
+      if (st.rewind) {
+        gate.rewind(st.gvt);
+        continue;
+      }
+      gate.begin_round();
+      const RoundVerdict v =
+          gate.judge(st.gvt, st.events, st.inputs.find('T') != std::string::npos,
+                     st.inputs.find('C') != std::string::npos);
+      std::string got;
+      if (v.stop) got += 's';
+      if (v.deadlock) got += 'd';
+      if (v.checkpoint) got += 'c';
+      if (v.rebalance) got += 'b';
+      EXPECT_EQ(got, st.expect) << c.name << ", step " << i;
+      EXPECT_EQ(gate.stall_rounds(), st.stall) << c.name << ", step " << i;
+    }
+  }
 }
 
 }  // namespace

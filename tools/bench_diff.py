@@ -20,6 +20,14 @@ Two modes, stdlib only:
       corrupt baseline should not block the pipeline that would replace
       it.  A missing or unreadable NEW report set is always an error --
       that is the artifact under test.
+
+  bench_diff.py --exact BASE NEW
+      Model-identity gate for deterministic reports: every row of every
+      NEW report must exist in BASE and match it field for field (speedup,
+      deadlocked and every metric, exactly).  Micro rows are ignored, and
+      BASE rows absent from NEW are not checked, so a run of a few
+      sections gates against a full baseline.  Any difference, or a
+      missing/unreadable report on either side, exits 1.
 """
 
 import argparse
@@ -178,6 +186,33 @@ def diff_report(name, base, new, tol, micro_tol):
     return regressions
 
 
+def exact_report(name, base, new):
+    """Print every field where `new` differs from `base`; return the count
+    of mismatching rows."""
+    mismatches = 0
+    base_rows = {row_key(r): r for r in base["rows"]}
+    for row in new["rows"]:
+        tag = "%s / P=%s / %s" % row_key(row)
+        old = base_rows.get(row_key(row))
+        if old is None:
+            print("  MISMATCH %s: row absent from the baseline" % tag)
+            mismatches += 1
+            continue
+        diffs = ["%s %r -> %r" % (key, old[key], row[key])
+                 for key in ("speedup", "deadlocked") if old[key] != row[key]]
+        for metric in sorted(set(old["metrics"]) | set(row["metrics"])):
+            ov = old["metrics"].get(metric)
+            nv = row["metrics"].get(metric)
+            if ov != nv:
+                diffs.append("%s %r -> %r" % (metric, ov, nv))
+        if diffs:
+            print("  MISMATCH %s: %s" % (tag, "; ".join(diffs)))
+            mismatches += 1
+    print("%s: %d row(s) checked, %d mismatch(es)" %
+          (name, len(new["rows"]), mismatches))
+    return mismatches
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="+",
@@ -185,6 +220,9 @@ def main():
                          "BASE and NEW directories (or files)")
     ap.add_argument("--validate", action="store_true",
                     help="schema-check the given files and exit")
+    ap.add_argument("--exact", action="store_true",
+                    help="require every NEW row to equal its BASE row "
+                         "field for field")
     ap.add_argument("--tolerance", type=float, default=5.0,
                     help="allowed speedup drop in percent (default 5)")
     ap.add_argument("--micro-tolerance", type=float, default=25.0,
@@ -200,6 +238,21 @@ def main():
 
     if len(args.paths) != 2:
         fail("compare mode takes exactly two paths (BASE NEW)")
+    if args.exact:
+        base = collect(args.paths[0], "baseline")
+        new = collect(args.paths[1], "new report set")
+        mismatches = 0
+        for name in sorted(new):
+            if name not in base:
+                print("%s: no baseline report" % name)
+                mismatches += 1
+                continue
+            mismatches += exact_report(name, base[name], new[name])
+        if mismatches:
+            print("%d mismatch(es)" % mismatches)
+            sys.exit(1)
+        print("identical")
+        return
     # An absent/corrupt baseline downgrades to "nothing to compare": the
     # run that produced NEW is still good, and NEW becomes the baseline.
     base = collect(args.paths[0], "baseline", on_error=warn)
