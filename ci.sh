@@ -55,10 +55,12 @@ ctest --test-dir build -L adapt_smoke --output-on-failure
 
 echo "==> Scheduler smoke: ready queue vs reference scan, activity-bound rounds"
 # The ctest sweep above already ran it; the named gate keeps the scheduler
-# proof visible: the ReadyQueue must select in exactly the reference scan's
-# (key, lp) order under random updates, parks, re-arms, migrations and
-# rebuilds, and a threaded P=1 run on a ~20k-LP netlist must match the
-# oracle while its round sweeps visit under a tenth of rounds x LPs.
+# proof visible.  All three engines select through the one ReadyQueue, which
+# must select in exactly the reference scan's (key, lp) order under random
+# updates, parks, re-arms, migrations and rebuilds.  On a ~20k-LP netlist,
+# a threaded P=1 run must match the oracle while its round sweeps visit
+# under a tenth of rounds x LPs, and a machine-model P=16 run must match it
+# while its sweeps visit under half.
 ctest --test-dir build -L sched --output-on-failure
 
 echo "==> Doc links: no dangling DESIGN.md/README anchors or section refs"
@@ -86,7 +88,7 @@ assert all("ph" in e and "pid" in e for e in events), "malformed event"
 print("OK %s (%d events)" % (sys.argv[1], len(events)))
 EOF
 
-echo "==> Perf gate: microbench + placement reports vs committed baselines"
+echo "==> Perf gate: microbench, placement and figure reports vs committed baselines"
 # The deterministic model_fsm speedup rows gate hard (>5% drop fails); the
 # wall-clock micro rows are warn-only at 25% because this host is shared.
 # The ablation binary runs its placement + adaptation sections only: the
@@ -101,20 +103,27 @@ VSIM_BENCH_DIR="$ARTIFACTS" ./build/bench/bench_ablation placement \
 # Native-codegen speedup row: the committed baseline floor (1.4x) trips the
 # diff below when the backend silently stops beating the interpreter.
 VSIM_BENCH_DIR="$ARTIFACTS" ./build/bench/bench_codegen > /dev/null
+# The four paper figures (~35 s together): their speedups gate here too, and
+# the model identity step below checks them field for field.
+for fig in fig4_ordering fig6_fsm fig8_iir fig10_dct; do
+  VSIM_BENCH_DIR="$ARTIFACTS" "./build/bench/bench_$fig" > /dev/null
+done
 python3 tools/bench_diff.py --validate "$ARTIFACTS/BENCH_microbench.json" \
   "$ARTIFACTS/BENCH_ablation.json" "$ARTIFACTS/BENCH_codegen.json"
 python3 tools/bench_diff.py bench/baseline "$ARTIFACTS"
 
-echo "==> Model identity: bench_ablation rows equal the committed baseline"
+echo "==> Model identity: bench_ablation and figure rows equal the baseline"
 # The machine model is deterministic, so its rows must reproduce the
 # baseline field for field -- every speedup and every counter, not just a
 # speedup within tolerance.  A changed counter or checkpointing row means
 # the modelled protocol changed; regenerate bench/baseline deliberately.
-# Every section but `clustering` (minutes on its own).
+# Every ablation section but `clustering` (minutes on its own), plus the
+# four paper figures the perf gate wrote.
 mkdir -p "$ARTIFACTS/model"
 VSIM_BENCH_DIR="$ARTIFACTS/model" ./build/bench/bench_ablation gvt_interval \
   partitioning cancellation transport_faults checkpointing history_cap \
   placement adaptation > /dev/null
+cp "$ARTIFACTS"/BENCH_fig*.json "$ARTIFACTS/model/"
 python3 tools/bench_diff.py --exact bench/baseline "$ARTIFACTS/model"
 
 echo "==> AddressSanitizer build"

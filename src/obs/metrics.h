@@ -33,10 +33,10 @@ enum class Metric : std::uint16_t {
   kEventsCommitted,   ///< engine.events_committed
   kGvtRounds,         ///< engine.gvt_rounds
   /// engine.gvt_scan_items — candidates touched by GVT min-reductions, the
-  /// direct evidence that rounds are hierarchical: per-worker minima come
-  /// from each worker's ordered ready structure (heap top plus parked LPs),
-  /// so this grows with the worker count and the blocked-LP count, NOT
-  /// with workers x LPs.
+  /// direct evidence that rounds are hierarchical: each worker's (or
+  /// rank's) minimum reads its ReadyQueue's heap top (1 when the heap is
+  /// non-empty) plus its parked LPs, in every engine, so this grows with
+  /// the worker count and the blocked-LP count, NOT with workers x LPs.
   kGvtScanItems,
   kBlockedPolls,      ///< engine.blocked_polls
   kQueueOps,          ///< engine.queue_ops — pending-queue push/pop/annihilate
@@ -94,8 +94,8 @@ enum class Metric : std::uint16_t {
   kAdaptPins,              ///< adapt.pinned — LPs pinned conservative
   kAdaptDeferrals,         ///< adapt.deferrals — demotions deferred by budget
   /// engine.round_lp_visits — LPs the GVT rounds' fossil/adapt sweeps
-  /// visited (machine model: every LP every round; threaded and
-  /// distributed: dirty LPs only, so it tracks activity, not rounds x LPs).
+  /// visited: dirty LPs only in every engine, so it tracks activity, not
+  /// rounds x LPs.
   kRoundLpVisits,
   kCount
 };

@@ -24,9 +24,8 @@
 // channel neighbours together.  At most max_moves LPs move per round, and
 // every move strictly shrinks the src/dst gap, so placement cannot thrash.
 //
-// The same machinery serves crash recovery: redistribute_orphans() replaces
-// the old round-robin scattering of a dead worker's LPs under the
-// kRedistribute policy with load- and cut-aware placement.
+// The same machinery serves crash recovery: redistribute_orphans() deals a
+// dead worker's LPs to the survivors with load- and cut-aware placement.
 //
 // On a clustered graph (pdes/cluster.h) the migration unit is a whole
 // ClusterLp: the planner sees one work score per cluster and a move packs
@@ -87,8 +86,8 @@ struct RebalancePlan {
 
 /// Reassigns every LP currently mapped to a dead worker (alive[part[lp]] ==
 /// false) to the survivor with the least projected load, with the same
-/// cut-aware tie-break as the planner.  Shared by the engines' kRedistribute
-/// recovery path.  Orphans with no recorded work still spread evenly (each
+/// cut-aware tie-break as the planner.  Shared by the engines' recovery
+/// path.  Orphans with no recorded work still spread evenly (each
 /// counts at least one work unit).
 void redistribute_orphans(const pdes::LpGraph& graph, pdes::Partition& part,
                           const std::vector<double>& lp_work,

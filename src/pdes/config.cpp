@@ -41,14 +41,6 @@ const char* to_string(ConservativeStrategy s) {
   return "?";
 }
 
-const char* to_string(RecoveryPolicy p) {
-  switch (p) {
-    case RecoveryPolicy::kRestart: return "restart";
-    case RecoveryPolicy::kRedistribute: return "redistribute";
-  }
-  return "?";
-}
-
 std::string ConfigError::str() const {
   std::ostringstream os;
   os << "invalid configuration: " << field << ": " << message;

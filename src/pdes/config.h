@@ -133,24 +133,11 @@ struct TransportConfig {
   double rto = 16.0;
 };
 
-/// What to do with a dead worker's LPs after recovery.
-enum class RecoveryPolicy : std::uint8_t {
-  /// Re-instantiate the lost worker in place and hand its partition back
-  /// (models a node restart / hot spare).  Machine engine only: the
-  /// threaded and distributed engines cannot respawn a thread or a rank
-  /// mid-run and always redistribute.
-  kRestart,
-  /// Retire the dead worker permanently and deal its LPs to the survivors
-  /// with the rebalancer's load- and cut-aware placement
-  /// (partition::redistribute_orphans; graceful degradation).
-  kRedistribute,
-};
-
-const char* to_string(RecoveryPolicy p);
-
 /// GVT-consistent checkpoint/restart (checkpoint.h).  Checkpointing is also
 /// forced on whenever the fault plan schedules crashes, so a crashed run can
-/// always fall back to at least the initial snapshot.
+/// always fall back to at least the initial snapshot.  Recovery retires the
+/// dead workers and deals their LPs to the survivors with the rebalancer's
+/// load- and cut-aware placement (partition::redistribute_orphans).
 struct CheckpointConfig {
   /// Take a checkpoint every `period` GVT rounds; 0 disables periodic
   /// checkpoints (only the initial pre-run snapshot is kept when crashes
@@ -161,7 +148,6 @@ struct CheckpointConfig {
   /// When non-empty, spill the portable section of each checkpoint to
   /// `<spill_dir>/ckpt-<round>.bin` and verify it reads back identically.
   std::string spill_dir;
-  RecoveryPolicy policy = RecoveryPolicy::kRestart;
   /// Recoveries allowed before the run aborts with a RecoveryError (a
   /// crash-looping cluster must fail, not spin).
   std::uint32_t max_recoveries = 8;

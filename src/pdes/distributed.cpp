@@ -297,6 +297,7 @@ class DistributedEngine::DistRouter final : public Router {
   /// The rank's single metrics shard; ranks do not trace.
   [[nodiscard]] std::size_t worker() const { return 0; }
   [[nodiscard]] double clock() const { return 0.0; }
+  void charge_event(const LpRuntime&, double) {}
 
   void route(Event&& ev) override {
     const std::uint32_t owner = eng_.partition_[ev.dst];
@@ -1468,12 +1469,11 @@ void DistributedEngine::apply_gvt_local(std::uint64_t round, VirtualTime gvt,
   // blocked polls land before the capture's rollback and before adapt()
   // reads them.
   DistRouter router(*this);
-  self_.ready.settle_credits(
-      [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
+  settle_credits(self_.ready);
   if (ckpt_due) ckpt_capture_and_ship(round, gvt);  // fossils every owned LP
   self_.ready.take_dirty(self_.sweep);
-  sweep(self_.sweep, owned_.size(), gvt, router, &self_.ready,
-        [](LpId) { return true; });
+  sweep(self_.sweep, owned_.size(), gvt, router,
+        [&](LpId) { return SweepTarget{self_.ready, true}; });
   self_.ready.rearm();
   self_.events_since_round = 0;
   store_relaxed(dump_events_, self_.stats.events);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "partition/rebalance.h"
 
@@ -107,6 +108,8 @@ EngineCore::EngineCore(LpGraph& graph, Partition partition,
     if (null_msgs_)
       for (LpId src : graph_.fan_in(id)) lps_[id].add_input_channel(src);
   }
+  all_lps_.resize(graph_.size());
+  std::iota(all_lps_.begin(), all_lps_.end(), LpId{0});
   last_promise_.assign(graph_.size(), kTimeZero);
   lb_events_base_.assign(graph_.size(), 0);
   lb_undone_base_.assign(graph_.size(), 0);
@@ -183,6 +186,11 @@ void EngineCore::flush_commits() {
 // ---------------------------------------------------------------------------
 // Round pipeline.
 // ---------------------------------------------------------------------------
+
+void EngineCore::settle_credits(ReadyQueue& q) {
+  q.settle_credits(
+      [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
+}
 
 void EngineCore::store_checkpoint(VirtualTime gvt) {
   Checkpoint ck = capture_checkpoint(gvt_rounds_, gvt, lps_, last_promise_,

@@ -12,11 +12,14 @@
 //     gate, rebalance cadence, and rewind after a recovery or promotion.
 //   * The GVT round pipeline (DESIGN.md "GVT round pipeline"): the sweep,
 //     the checkpoint-capture prologue, migration, and rebalance planning.
-//   * The LP event path: delivery with rollback-depth observation, parked
-//     credit, key refresh and null propagation; null promises; the ready-
-//     heap scheduler pass; router accounting; commit buffering.  The hot
-//     pieces are templates on each engine's `final` router, so the
-//     per-event path takes no virtual call beyond LpRuntime's own Router.
+//   * The scheduler and the LP event path: every engine's workers (or
+//     ranks) are ReadyScopes, so delivery with rollback-depth observation,
+//     parked credit, key refresh and null propagation; null promises; the
+//     ready-heap selection pass; router accounting and commit buffering
+//     exist once.  The hot pieces are templates on each engine's `final`
+//     router, so the per-event path takes no virtual call beyond
+//     LpRuntime's own Router; the machine model's cost charge is an inline
+//     router member.
 //   * Scaffolding: LP construction, transport-stack assembly, trace setup,
 //     crash injection, the recovery steps, the deadlock report and the
 //     RunStats epilogue.
@@ -130,8 +133,8 @@ class CrashInjector {
   std::vector<std::uint64_t> rng_;
 };
 
-/// Scheduling state of one ReadyQueue scope: a threaded worker or a
-/// distributed rank.
+/// Scheduling state of one ReadyQueue scope: a modelled machine worker, a
+/// threaded worker or a distributed rank.
 struct ReadyScope {
   /// The owned LPs as an indexed ready heap, a parked list and a dirty set
   /// (ready_queue.h): selection, the local GVT minimum and the round sweep.
@@ -142,9 +145,18 @@ struct ReadyScope {
   WorkerStats stats;
 };
 
+/// Where the round sweep finds an LP: its owner's queue, and whether the
+/// owner is alive (only the machine model sweeps a dead worker's LPs).
+struct SweepTarget {
+  ReadyQueue& queue;
+  bool live;
+};
+
 /// Base of the three engines.  Engine routers are `final` classes that
-/// provide `worker()` (metrics shard and trace track of the current scope)
-/// and `clock()` (trace timestamp) next to the Router interface.
+/// provide `worker()` (metrics shard and trace track of the current scope),
+/// `clock()` (trace timestamp) and `charge_event(lp, cost)` (the machine
+/// model's per-event clock charge, empty elsewhere) next to the Router
+/// interface.
 class EngineCore {
  public:
   /// Invoked once per committed event, in LP-id order within each release
@@ -183,17 +195,20 @@ class EngineCore {
   /// Enqueues `ev` at its destination and observes a rollback it caused.
   template <class R>
   void enqueue_observed(Event&& ev, R& router);
-  /// Delivery into a ReadyQueue scope that owns `ev.dst`.
+  /// Delivery into the scope that owns `ev.dst`.
   template <class R>
   void deliver(ReadyScope& s, Event&& ev, R& router);
   /// Emits null messages to `lp`'s fan-out if its promise increased.
   template <class R>
   void send_null_messages_for(LpId lp, R& router);
-  /// One selection pass of a ReadyQueue scope: pops LPs in ascending
-  /// (next_ts, lp) order, parking blocked ones, and processes the first
-  /// ready event.  False when nothing in the scope can run now.
+  /// One selection pass of a scope: pops LPs in ascending (next_ts, lp)
+  /// order, parking blocked ones, and processes the first ready event,
+  /// which `router.charge_event` bills.  False when nothing in the scope
+  /// can run now.
   template <class R>
   bool try_process_one(ReadyScope& s, R& router);
+  /// Charges `lp`'s parked credit in `q` to its blocked polls.
+  void credit(ReadyQueue& q, LpId lp);
   /// Router accounting: a local send, or a remote data / null message.
   void count_send(WorkerStats& s, std::size_t shard, bool local,
                   bool is_null);
@@ -205,14 +220,19 @@ class EngineCore {
 
   // ---- GVT round pipeline ----
 
-  /// Steps 2 and 4 over `ids` (ascending), one adaptation scope of `scope`
-  /// LPs: fossil-collect each at `gvt`, then -- where `enter(lp)`, called
-  /// first, says the LP's worker is alive -- adapt it (or reset its window)
-  /// and send its null promise.  With a queue, LPs that need another visit
-  /// regardless of activity are re-touched.  Counts the visits.
+  /// Step 1 for one scope: charges every parked LP the blocked polls of
+  /// the passes it sat out.  Runs before step 3's capture (a rollback
+  /// changes how the polls classify) and before step 4 reads them.
+  void settle_credits(ReadyQueue& q);
+  /// Steps 2 and 4 over `ids` (a round's dirty LPs, ascending), one
+  /// adaptation scope of `scope` LPs: fossil-collect each at `gvt`, then,
+  /// if alive, adapt it (or reset its window) and send its null promise.
+  /// `enter(lp)`, called first, points the router at the LP's owner and
+  /// returns its SweepTarget.  LPs that need another visit regardless of
+  /// activity are re-touched.  Counts the visits.
   template <class R, class Enter>
   void sweep(const std::vector<LpId>& ids, std::size_t scope, VirtualTime gvt,
-             R& router, ReadyQueue* q, Enter&& enter);
+             R& router, Enter&& enter);
   /// Step 3's capture prologue over `ids`: fossil-collect at `gvt`, then
   /// undo the remaining speculation with deferred cancellation (no anti-
   /// messages, so the drained network stays quiescent and no receiver
@@ -228,12 +248,14 @@ class EngineCore {
   /// Step 5's plan from the per-LP work of the window since the previous
   /// attempt; publishes the imbalance gauge and round counter to `shard`.
   partition::RebalancePlan plan_rebalance(std::size_t shard);
-  /// Moves `lp` to worker `to` through the checkpoint codec.  Fossil-
-  /// collect at `gvt` first: the deferred rollback is protocol-transparent
-  /// only for events strictly above GVT -- a parked send whose receiver
-  /// already committed it could never be cancelled again.
+  /// Moves `lp` from queue `src` to worker `to`'s queue `dst` through the
+  /// checkpoint codec.  Fossil-collect at `gvt` first: the deferred
+  /// rollback is protocol-transparent only for events strictly above GVT --
+  /// a parked send whose receiver already committed it could never be
+  /// cancelled again.
   template <class R>
-  void migrate_lp(LpId lp, std::uint32_t to, VirtualTime gvt, R& router);
+  void migrate_lp(LpId lp, ReadyQueue& src, std::uint32_t to, ReadyQueue& dst,
+                  VirtualTime gvt, R& router);
 
   // ---- recovery ----
 
@@ -278,6 +300,7 @@ class EngineCore {
   std::optional<ConfigError> config_error_;
 
   std::vector<LpRuntime> lps_;
+  std::vector<LpId> all_lps_;  ///< 0..n-1, the checkpoint capture's scope
   std::vector<VirtualTime> last_promise_;  ///< last null promise per LP
   bool null_msgs_ = false;  ///< ConservativeStrategy::kNullMessage
   VirtualTime safe_bound_ = kTimeZero;
@@ -374,8 +397,7 @@ void EngineCore::deliver(ReadyScope& s, Event&& ev, R& router) {
   const bool is_null = ev.kind == kNullMsgKind;
   // Credit before enqueue: a rollback may shrink the history, which changes
   // how note_blocked() classifies the polls the LP sat out.
-  if (const std::uint64_t n = s.ready.take_credit(dst))
-    lps_[dst].note_blocked(n);
+  credit(s.ready, dst);
   enqueue_observed(std::move(ev), router);
   s.ready.update(dst, lps_[dst].next_ts());
   // A null message can raise this LP's own promise; propagate downstream.
@@ -418,6 +440,7 @@ bool EngineCore::try_process_one(ReadyScope& s, R& router) {
     double exec_start = 0.0;
     VSIM_TRACE(if (trace_ != nullptr) exec_start = router.clock());
     const double cost = lps_[lp].process_next(router);
+    router.charge_event(lps_[lp], cost);
     s.stats.busy_cost += cost;
     ++s.stats.events;
     ++s.events_since_round;
@@ -437,20 +460,22 @@ bool EngineCore::try_process_one(ReadyScope& s, R& router) {
   return false;
 }
 
+inline void EngineCore::credit(ReadyQueue& q, LpId lp) {
+  if (const std::uint64_t n = q.take_credit(lp)) lps_[lp].note_blocked(n);
+}
+
 template <class R, class Enter>
 void EngineCore::sweep(const std::vector<LpId>& ids, std::size_t scope,
-                       VirtualTime gvt, R& router, ReadyQueue* q,
-                       Enter&& enter) {
+                       VirtualTime gvt, R& router, Enter&& enter) {
   // The demotion budget drains in ascending LP id, so decisions depend only
   // on the scope's deterministic counters, never on other scopes' timing.
   AdaptController adapt(config_.adapt, config_.num_workers);
   adapt.begin_round(scope);
   for (const LpId lp : ids) {
-    const bool live = enter(lp);
+    const SweepTarget t = enter(lp);
     lps_[lp].fossil_collect(gvt, router);
-    if (!live) continue;
     bool deferred = false;
-    if (config_.configuration == Configuration::kDynamic) {
+    if (t.live && config_.configuration == Configuration::kDynamic) {
       const AdaptDecision d = adapt.adapt(lps_[lp]);
       deferred = d.action == AdaptAction::kDeferred;
       if (deferred)
@@ -460,12 +485,13 @@ void EngineCore::sweep(const std::vector<LpId>& ids, std::size_t scope,
                         router.clock(), lp, "waste_pct",
                         static_cast<std::int64_t>(d.waste_rate * 100.0));
       });
-    } else {
+    } else if (t.live) {
       lps_[lp].reset_window();
     }
-    if (null_msgs_) send_null_messages_for(lp, router);
-    if (q != nullptr && (lps_[lp].round_visit_pending() || deferred))
-      q->touch(lp);
+    if (t.live && null_msgs_) send_null_messages_for(lp, router);
+    // A dead worker's LPs are only fossil-collected until recovery; like
+    // live ones, they stay in the sweep while they hold history.
+    if (lps_[lp].round_visit_pending() || deferred) t.queue.touch(lp);
   }
   metrics_.shard(router.worker()).inc(obs::Metric::kRoundLpVisits, ids.size());
 }
@@ -480,13 +506,16 @@ void EngineCore::undo_speculation(const std::vector<LpId>& ids,
 }
 
 template <class R>
-void EngineCore::migrate_lp(LpId lp, std::uint32_t to, VirtualTime gvt,
-                            R& router) {
+void EngineCore::migrate_lp(LpId lp, ReadyQueue& src, std::uint32_t to,
+                            ReadyQueue& dst, VirtualTime gvt, R& router) {
+  credit(src, lp);
+  src.remove(lp);
   lps_[lp].fossil_collect(gvt, router);
   lps_[lp].rollback_all_deferred();
   const LpCheckpoint ck = lps_[lp].make_checkpoint();
   partition_[lp] = to;
   lps_[lp].restore_from(ck);
+  dst.add(lp, lps_[lp].next_ts());
 }
 
 template <class Crashed>

@@ -1,7 +1,7 @@
 #include "pdes/machine.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cassert>
 
 #include "partition/rebalance.h"
 
@@ -32,19 +32,36 @@ class MachineEngine::MachineRouter final : public Router {
   explicit MachineRouter(MachineEngine& eng) : eng_(eng) {}
 
   [[nodiscard]] std::size_t worker() const { return eng_.current_worker_; }
-  [[nodiscard]] double clock() const {
-    return eng_.workers_[eng_.current_worker_].clock;
+  [[nodiscard]] double clock() const { return self().clock; }
+
+  /// The executing worker pays for the event, plus its state save under
+  /// Time Warp.
+  void charge_event(const LpRuntime& lp, double cost) {
+    self().clock += cost + (lp.mode() == SyncMode::kOptimistic
+                                ? eng_.costs_.state_save
+                                : 0.0);
+  }
+
+  /// A message reached the current worker: handle it, or forward it when
+  /// its LP migrated away while it was in flight.
+  void receive(Event&& ev) {
+    if (eng_.partition_[ev.dst] != worker()) {
+      route(std::move(ev));
+      return;
+    }
+    self().stats.busy_cost += eng_.costs_.recv_cost;
+    eng_.deliver(self(), std::move(ev), *this);
   }
 
   void route(Event&& ev) override {
     const std::size_t wi = eng_.current_worker_;
     const std::uint32_t owner = eng_.partition_[ev.dst];
-    Worker& from = eng_.workers_[wi];
+    Worker& from = self();
     const bool is_null = ev.kind == kNullMsgKind;
     eng_.count_send(from.stats, wi, owner == wi, is_null);
     if (owner == wi) {
       from.clock += eng_.costs_.msg_local;
-      eng_.deliver(from, std::move(ev));
+      receive(std::move(ev));
       return;
     }
     const double cost =
@@ -65,6 +82,10 @@ class MachineEngine::MachineRouter final : public Router {
   void commit(const Event& ev) override { eng_.commit(ev); }
 
  private:
+  [[nodiscard]] Worker& self() const {
+    return eng_.workers_[eng_.current_worker_];
+  }
+
   MachineEngine& eng_;
 };
 
@@ -74,14 +95,10 @@ MachineEngine::MachineEngine(LpGraph& graph, Partition partition,
                  config.num_workers),
       costs_(costs) {
   if (config_error_) return;
-  key_.assign(graph_.size(), kTimeInf);
-  all_lps_.resize(graph_.size());
-  std::iota(all_lps_.begin(), all_lps_.end(), LpId{0});
   workers_.resize(config_.num_workers);
-  for (LpId id = 0; id < graph_.size(); ++id) {
-    workers_[partition_[id]].owned.push_back(id);
-    workers_[partition_[id]].ready.insert({kTimeInf, id});
-  }
+  for (Worker& w : workers_) w.ready.reset(graph_.size());
+  for (LpId id = 0; id < graph_.size(); ++id)
+    workers_[partition_[id]].ready.add(id, lps_[id].next_ts());
   crashed_.assign(config_.num_workers, false);
 
   wire_ = std::make_unique<MachineWire>(*this);
@@ -92,7 +109,9 @@ MachineEngine::MachineEngine(LpGraph& graph, Partition partition,
                       workers_[w].clock, ev.dst);
       trace_->flow_in(w, trace_flow_id(ev), workers_[w].clock);
     });
-    deliver(workers_[w], std::move(ev));
+    assert(w == current_worker_);  // the worker draining its mailbox
+    (void)w;
+    MachineRouter(*this).receive(std::move(ev));
   });
   // Acks and retransmissions are billed to the emitting worker's virtual
   // clock, so fault recovery shows up in the makespan / speedup curves.
@@ -107,41 +126,14 @@ MachineEngine::MachineEngine(LpGraph& graph, Partition partition,
 
 MachineEngine::~MachineEngine() = default;
 
-void MachineEngine::refresh_key(LpId lp) {
-  Worker& w = workers_[partition_[lp]];
-  const VirtualTime k = lps_[lp].next_ts();
-  if (k == key_[lp]) return;
-  w.ready.erase({key_[lp], lp});
-  key_[lp] = k;
-  w.ready.insert({k, lp});
-}
-
-void MachineEngine::deliver(Worker& w, Event&& ev) {
-  w.stats.busy_cost += costs_.recv_cost;
-  const LpId dst = ev.dst;
-  const bool is_null = ev.kind == kNullMsgKind;
-  MachineRouter router(*this);
-  enqueue_observed(std::move(ev), router);
-  refresh_key(dst);
-  if (!is_null || !null_msgs_) return;
-  // A null message can raise this LP's own promise; the propagation is sent
-  // (and charged) by its owner, even for a null that reached the previous
-  // owner after a migration.
-  const std::size_t saved = current_worker_;
-  current_worker_ = partition_[dst];
-  send_null_messages_for(dst, router);
-  current_worker_ = saved;
-}
-
-bool MachineEngine::maybe_crash(std::size_t wi) {
+void MachineEngine::maybe_crash(std::size_t wi) {
   Worker& w = workers_[wi];
-  if (!crash_.fire(wi, w.stats.events)) return false;
+  if (!crash_.fire(wi, w.stats.events)) return;
   crashed_[wi] = true;
   ++ckstats_.crashes;
   VSIM_TRACE(if (trace_ != nullptr) {
     trace_->instant(wi, "ckpt", "crash", w.clock);
   });
-  return true;
 }
 
 bool MachineEngine::step(std::size_t wi) {
@@ -171,40 +163,10 @@ bool MachineEngine::step(std::size_t wi) {
   // Reliable layer: retransmit in-flight packets whose timeout expired.
   net_->poll(static_cast<std::uint32_t>(wi), w.clock);
 
-  // Pick the lowest-timestamp eligible LP.  Copy the entry out of the
-  // iterator: processing can route messages back to this very LP (e.g. an
-  // anti-message cascade), whose refresh_key() would invalidate the node
-  // a structured-binding reference points into.
-  for (auto it = w.ready.begin(); it != w.ready.end(); ++it) {
-    const VirtualTime ts = it->first;
-    const LpId lp = it->second;
-    if (ts == kTimeInf) break;
-    if (ts.pt > config_.until) break;  // later keys are even larger
-    const Eligibility e = lps_[lp].peek(safe_bound_, config_.until);
-    if (e == Eligibility::kBlocked) {
-      lps_[lp].note_blocked();
-      continue;
-    }
-    if (e == Eligibility::kIdle) continue;
-    // Process one event.
-    MachineRouter router(*this);
-    const bool optimistic = lps_[lp].mode() == SyncMode::kOptimistic;
-    const double exec_start = w.clock;
-    const double cost = lps_[lp].process_next(router);
-    w.clock += cost + (optimistic ? costs_.state_save : 0.0);
-    w.stats.busy_cost += cost;
-    ++w.stats.events;
-    ++w.events_since_round;
-    metrics_.shard(wi).inc(obs::Metric::kEventsProcessed);
-    VSIM_TRACE(if (trace_ != nullptr) {
-      trace_->complete(wi, "execute", to_string(ts.phase()), exec_start,
-                       w.clock - exec_start, lp, "pt",
-                       static_cast<std::int64_t>(ts.pt));
-    });
-    (void)exec_start;
-    refresh_key(lp);
-    if (ft_on_ && maybe_crash(wi)) return true;  // crash-stop: worker is gone
-    if (null_msgs_) send_null_messages_for(lp, router);
+  // The lowest-timestamp eligible LP runs one event; blocked ones park.
+  MachineRouter router(*this);
+  if (try_process_one(w, router)) {
+    if (ft_on_) maybe_crash(wi);
     return true;
   }
   if (delivered) return true;
@@ -298,35 +260,44 @@ bool MachineEngine::sync_round() {
     }
   });
 
-  // Hierarchical GVT: each worker's ordered ready set already holds its
-  // owned LPs keyed by minimal pending timestamp, so the local minimum is
-  // its first entry and the global reduction touches one candidate per
-  // worker -- O(P) per round instead of an O(LP) scan over key_, which is
-  // what keeps rounds cheap at 100k+ fused cluster LPs.  A dead worker's
-  // set is frozen at its crash-time keys (nothing updates it after death),
-  // which keeps the GVT (and hence every survivor-side commit) below the
-  // frontier the upcoming recovery will rewind to or replay over.
+  // Hierarchical GVT: each worker's local minimum is its ready heap's top
+  // and its parked keys, so the reduction grows with P and the blocked-LP
+  // count, not with the LP count.  A dead worker's queue is frozen at its
+  // crash-time keys (nothing updates it after death), which keeps the GVT
+  // (and hence every survivor-side commit) below the frontier the upcoming
+  // recovery will rewind to or replay over.
   VirtualTime gvt = kTimeInf;
   std::uint64_t total_events = 0;
-  for (const Worker& w : workers_) {
-    if (!w.ready.empty()) gvt = std::min(gvt, w.ready.begin()->first);
-    total_events += w.stats.events;
+  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
+    const ReadyQueue& q = workers_[wi].ready;
+    gvt = std::min(gvt, q.min_key());
+    metrics_.shard(wi).inc(obs::Metric::kGvtScanItems,
+                           (q.empty() ? 0 : 1) + q.parked_count());
+    total_events += workers_[wi].stats.events;
   }
-  metrics_.shard(0).inc(obs::Metric::kGvtScanItems, workers_.size());
 
   // The round pipeline (DESIGN.md "GVT round pipeline").  The machine model
-  // sweeps every LP in one deterministic pass, so the whole engine is one
-  // adaptation scope: the demotion budget drains in LP id order regardless
-  // of placement.  Dead workers' LPs are fossil-collected but not adapted.
+  // sweeps every worker's dirty LPs in one deterministic pass, so the whole
+  // engine is one adaptation scope: the demotion budget drains in LP id
+  // order regardless of placement.
   verdict_ = gate_.judge(gvt, total_events, transport_failed_, crash_pending);
   deadlocked_ = verdict_.deadlock;
+  for (Worker& w : workers_) settle_credits(w.ready);
   if (verdict_.checkpoint) take_checkpoint(gvt);
+  round_lps_.clear();
+  for (Worker& w : workers_) {
+    w.ready.take_dirty(w.sweep);
+    round_lps_.insert(round_lps_.end(), w.sweep.begin(), w.sweep.end());
+  }
+  std::sort(round_lps_.begin(), round_lps_.end());
   MachineRouter router(*this);
-  sweep(all_lps_, lps_.size(), gvt, router, nullptr, [&](LpId id) {
+  sweep(round_lps_, lps_.size(), gvt, router, [&](LpId id) {
     current_worker_ = partition_[id];
-    return !worker_dead(current_worker_);
+    return SweepTarget{workers_[current_worker_].ready,
+                       !worker_dead(current_worker_)};
   });
   if (verdict_.rebalance) rebalance(gvt);
+  for (Worker& w : workers_) w.ready.rearm();  // the new bound may unblock any
 
   safe_bound_ = gvt;
   metrics_.merge();  // every shard is quiescent inside the round
@@ -339,12 +310,7 @@ void MachineEngine::rebalance(VirtualTime gvt) {
   for (const partition::Migration& mv : plan.moves) {
     Worker& src = workers_[mv.from];
     Worker& dst = workers_[mv.to];
-    src.ready.erase({key_[mv.lp], mv.lp});
-    src.owned.erase(std::find(src.owned.begin(), src.owned.end(), mv.lp));
-    migrate_lp(mv.lp, mv.to, gvt, router);
-    key_[mv.lp] = lps_[mv.lp].next_ts();
-    dst.owned.push_back(mv.lp);
-    dst.ready.insert({key_[mv.lp], mv.lp});
+    migrate_lp(mv.lp, src.ready, mv.to, dst.ready, gvt, router);
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->complete(mv.from, "lb", "migrate-out", src.clock,
                        costs_.checkpoint_per_lp, mv.lp);
@@ -365,28 +331,18 @@ bool MachineEngine::detect_and_recover() {
   // crashed worker dead and run a single recovery episode for all of them.
   const Checkpoint* ck = recovery_point(first_dead);
   if (ck == nullptr) return false;
-  if (config_.checkpoint.policy == RecoveryPolicy::kRedistribute) {
-    for (std::size_t w = 0; w < workers_.size(); ++w)
-      if (crashed_[w]) retired_[w] = true;
-    if (!redistribute(orphan_work(), first_dead)) return false;
-  } else {
-    // Restart in place: the lost worker comes back empty and reloads its
-    // original partition from the checkpoint, like everyone else.
-    crashed_.assign(workers_.size(), false);
-  }
+  // The dead workers retire; their LPs are redistributed to the survivors.
+  for (std::size_t w = 0; w < workers_.size(); ++w)
+    if (crashed_[w]) retired_[w] = true;
+  if (!redistribute(orphan_work(), first_dead)) return false;
   restore(*ck);
   for (Worker& w : workers_) {
     w.mailbox = {};  // in-flight packets belong to the abandoned timeline
     w.events_since_round = 0;
-    w.owned.clear();
-    w.ready.clear();
+    w.ready.reset(lps_.size());
   }
-  for (LpId id = 0; id < lps_.size(); ++id) {
-    key_[id] = lps_[id].next_ts();
-    Worker& w = workers_[partition_[id]];
-    w.owned.push_back(id);
-    w.ready.insert({key_[id], id});
-  }
+  for (LpId id = 0; id < lps_.size(); ++id)
+    workers_[partition_[id]].ready.add(id, lps_[id].next_ts());
 
   // Charge detection latency + state reload to every surviving clock.
   double base = 0.0;
@@ -396,7 +352,7 @@ bool MachineEngine::detect_and_recover() {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (worker_dead(w)) continue;
     const double after = base + costs_.restore_per_lp *
-                                    static_cast<double>(workers_[w].owned.size());
+                                    static_cast<double>(workers_[w].ready.size());
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->complete(w, "ckpt", "recovery", workers_[w].clock,
                        after - workers_[w].clock);
@@ -409,12 +365,14 @@ bool MachineEngine::detect_and_recover() {
 
 void MachineEngine::take_checkpoint(VirtualTime gvt) {
   MachineRouter router(*this);
-  undo_speculation(all_lps_, gvt, router, [&](LpId id) { refresh_key(id); });
+  undo_speculation(all_lps_, gvt, router, [&](LpId id) {
+    workers_[partition_[id]].ready.update(id, lps_[id].next_ts());
+  });
   store_checkpoint(gvt);
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     if (worker_dead(w)) continue;
     const double c = costs_.checkpoint_per_lp *
-                     static_cast<double>(workers_[w].owned.size());
+                     static_cast<double>(workers_[w].ready.size());
     VSIM_TRACE(if (trace_ != nullptr && c > 0) {
       trace_->complete(w, "ckpt", "checkpoint", workers_[w].clock, c);
     });
@@ -432,7 +390,8 @@ RunStats MachineEngine::run() {
 
   // Seed initial events (free: part of model construction, not simulation).
   seed_initial_events();
-  for (const Event& ev : graph_.initial_events()) refresh_key(ev.dst);
+  for (const Event& ev : graph_.initial_events())
+    workers_[partition_[ev.dst]].ready.update(ev.dst, lps_[ev.dst].next_ts());
   // Round-zero baseline: recovery always has a line to rewind to, even when
   // the first crash precedes the first periodic checkpoint.
   if (ft_on_) store_checkpoint(kTimeZero);

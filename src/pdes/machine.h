@@ -15,11 +15,17 @@
 // measures the critical path deterministically, which preserves the *shape*
 // of the paper's figures: who wins, how close to linear, and where the
 // configurations diverge.
+//
+// It also runs the real engines' scheduler: each modelled worker is a
+// ReadyScope (engine_core.h), so selection, parking with blocked-poll
+// credit, delivery and the dirty-LP round sweep are the threaded and
+// distributed engines' own code.  What is the machine's alone: the virtual
+// clocks and their cost charges, the latency mailbox and the modelled
+// drain.
 #pragma once
 
 #include <memory>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "pdes/engine_core.h"
@@ -41,8 +47,8 @@ struct MachineCosts {
   double null_msg = 0.15;        ///< per null message (sender side)
   double gvt_cost = 4.0;         ///< per worker per synchronisation round
   double ack = 0.1;              ///< reliable-channel ack emission (sender side)
-  double checkpoint_per_lp = 0.5;  ///< snapshot write, per owned LP
-  double restore_per_lp = 0.8;     ///< recovery reload, per owned LP
+  double checkpoint_per_lp = 0.5;  ///< snapshot write, per LP on the worker
+  double restore_per_lp = 0.8;     ///< recovery reload, per LP on the worker
   double crash_detect = 12.0;      ///< failure-detection latency, per missed
                                    ///< heartbeat round
 };
@@ -67,36 +73,25 @@ class MachineEngine : public EngineCore {
     }
   };
 
-  struct Worker {
+  struct Worker : ReadyScope {
     double clock = 0.0;
-    std::vector<LpId> owned;
-    /// Owned LPs keyed by their minimal pending timestamp.  Deliberately
-    /// not a ReadyQueue (ready_queue.h): this engine polls blocked LPs on
-    /// every pass and those exact poll counts feed the modelled adaptation,
-    /// so parking them would change the figures' makespans.
-    std::set<std::pair<VirtualTime, LpId>> ready;
     std::priority_queue<Arrival, std::vector<Arrival>, std::greater<>> mailbox;
-    std::uint64_t events_since_round = 0;
-    WorkerStats stats;
   };
 
   class MachineRouter;
   class MachineWire;  // the bottom of the transport stack: latency-stamped
                       // arrivals pushed into the destination's mailbox
 
-  void deliver(Worker& w, Event&& ev);
-  void refresh_key(LpId lp);
   /// True while worker `w` is crashed or permanently retired.
   [[nodiscard]] bool worker_dead(std::size_t w) const {
     return crashed_[w] || retired_[w];
   }
-  /// Crash-stop injection, evaluated after every processed event; returns
-  /// true when worker `wi` just died.
-  bool maybe_crash(std::size_t wi);
+  /// Crash-stop injection, evaluated after every processed event.
+  void maybe_crash(std::size_t wi);
   /// Heartbeat accounting at round entry; runs recovery once the budget is
   /// reached.  Returns false when recovery itself failed (run must abort).
   bool detect_and_recover();
-  /// Pipeline step 3, charged per owned LP to every live worker's clock.
+  /// Pipeline step 3, charged to every live worker's clock per LP it holds.
   void take_checkpoint(VirtualTime gvt);
   /// One scheduling turn for worker `w`: deliver due messages, then process
   /// the first eligible event.  Returns false if the worker cannot advance
@@ -110,9 +105,8 @@ class MachineEngine : public EngineCore {
   bool sync_round();
 
   MachineCosts costs_;
-  std::vector<VirtualTime> key_;  ///< cached ready-set key per LP
   std::vector<Worker> workers_;
-  std::vector<LpId> all_lps_;  ///< 0..n-1: the machine sweeps every LP
+  std::vector<LpId> round_lps_;  ///< the round's dirty LPs, every worker's
   std::uint64_t arrival_seq_ = 0;
   std::size_t current_worker_ = 0;
   std::vector<bool> crashed_;  ///< dead, recovery still outstanding

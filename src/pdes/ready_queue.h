@@ -1,18 +1,19 @@
-// Per-worker scheduler structure shared by the threaded and distributed
-// engines: an indexed ready heap, a parked list for blocked LPs, blocked-poll
+// Per-worker scheduler structure of all three engines (the machine model's
+// workers, the threaded engine's threads and the distributed engine's
+// ranks): an indexed ready heap, a parked list for blocked LPs, blocked-poll
 // credit, and the dirty set that bounds GVT-round work by activity.
 //
 // Selection.  Every member LP with a finite key (its next pending timestamp)
 // sits in a binary min-heap ordered by (key, lp), with a per-LP position
-// index so a re-key is an O(log n) sift.  A selection pass walks the heap top
-// exactly as the old cursor scan over every owned LP visited candidates.
+// index so a re-key is an O(log n) sift.  A selection pass walks the heap
+// top in (key, lp) order until it finds a ready LP.
 //
 // Parking.  An LP whose peek() is kBlocked leaves the heap.  Its eligibility
 // can only change through a delivery (update()) or a GVT round (the round
 // calls rearm() after the new bound, fossil collection and adaptation), so
-// later passes skip it at no cost.  The old scan would have polled it once
-// per pass; take_credit() / settle_credits() return those polls so the
-// engine can charge them to LpRuntime::note_blocked() -- the adaptation
+// later passes skip it at no cost.  Each pass it sits out still counts as
+// one blocked poll: take_credit() / settle_credits() return those polls so
+// the engine can charge them to LpRuntime::note_blocked() -- the adaptation
 // controller's promotion evidence keeps its meaning.
 //
 // Dirty set.  add(), update() and park_top() mark an LP dirty; take_dirty()

@@ -88,6 +88,7 @@ class ThreadedEngine::ThreadedRouter final : public Router {
 
   [[nodiscard]] std::size_t worker() const { return wi_; }
   [[nodiscard]] double clock() const { return eng_.tnow(); }
+  void charge_event(const LpRuntime&, double) {}
 
   void route(Event&& ev) override {
     const std::uint32_t owner = eng_.partition_[ev.dst];
@@ -127,11 +128,8 @@ ThreadedEngine::ThreadedEngine(LpGraph& graph, Partition partition,
     workers_.back()->inbox.reset(config_.num_workers);
     workers_.back()->ready.reset(graph_.size());
   }
-  all_lps_.resize(graph_.size());
-  for (LpId id = 0; id < graph_.size(); ++id) {
-    all_lps_[id] = id;
+  for (LpId id = 0; id < graph_.size(); ++id)
     workers_[partition_[id]]->ready.add(id, lps_[id].next_ts());
-  }
   barrier_ = std::make_unique<RoundBarrier>(config_.num_workers);
   crashed_ = std::make_unique<std::atomic<bool>[]>(config_.num_workers);
 
@@ -372,12 +370,11 @@ void ThreadedEngine::worker_main(std::size_t wi) {
       // for any other LP the visit is a no-op, so the sweep costs
       // O(activity), not O(owned).  A stopping round commits everything.
       ThreadedRouter router(*this, wi);
-      w.ready.settle_credits(
-          [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
+      settle_credits(w.ready);
       w.ready.take_dirty(w.sweep);
       sweep(w.sweep, w.ready.size(),
             done_.load(std::memory_order_acquire) ? kTimeInf : safe_bound_,
-            router, &w.ready, [](LpId) { return true; });
+            router, [&](LpId) { return SweepTarget{w.ready, true}; });
       if (verdict_.rebalance && !verdict_.stop) {
         barrier_->arrive_and_wait();  // every sweep finished
         if (wi == coord) coordinator_rebalance(wi);
@@ -439,9 +436,7 @@ void ThreadedEngine::coordinator_verdict(std::size_t coord) {
     VSIM_TRACE(if (trace_ != nullptr) ck_start = tnow());
     // Steps 1-3 for every worker's LPs at once; the workers' own sweeps
     // then find these credits settled and these LPs collected.
-    for (auto& wp : workers_)
-      wp->ready.settle_credits(
-          [&](LpId lp, std::uint64_t n) { lps_[lp].note_blocked(n); });
+    for (auto& wp : workers_) settle_credits(wp->ready);
     ThreadedRouter router(*this, coord);
     undo_speculation(all_lps_, gvt, router, [&](LpId lp) {
       workers_[partition_[lp]]->ready.update(lp, lps_[lp].next_ts());
@@ -463,12 +458,8 @@ void ThreadedEngine::coordinator_rebalance(std::size_t coord) {
   VSIM_TRACE(if (trace_ != nullptr) lb_start = tnow());
   ThreadedRouter router(*this, coord);
   for (const partition::Migration& mv : plan.moves) {
-    Worker& src = *workers_[mv.from];
-    if (const std::uint64_t n = src.ready.take_credit(mv.lp))
-      lps_[mv.lp].note_blocked(n);
-    src.ready.remove(mv.lp);
-    migrate_lp(mv.lp, mv.to, safe_bound_, router);
-    workers_[mv.to]->ready.add(mv.lp, lps_[mv.lp].next_ts());
+    migrate_lp(mv.lp, workers_[mv.from]->ready, mv.to, workers_[mv.to]->ready,
+               safe_bound_, router);
     metrics_.shard(coord).inc(obs::Metric::kMigrations);
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->instant(coord, "lb", "migrate", tnow(), mv.lp, "to",
@@ -491,8 +482,8 @@ bool ThreadedEngine::coordinator_recover() {
           },
           &first_dead))
     return true;
-  // A dead thread cannot be respawned, so both policies redistribute the
-  // lost workers' LPs over the survivors.
+  // A dead thread cannot be respawned: the lost workers' LPs are
+  // redistributed over the survivors.
   const Checkpoint* ck = recovery_point(first_dead);
   if (ck != nullptr)
     for (std::size_t w = 0; w < workers_.size(); ++w)

@@ -95,7 +95,6 @@ class ThreadedEngine : public EngineCore {
   void coordinator_rebalance(std::size_t coord);
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<LpId> all_lps_;  ///< 0..n-1, the checkpoint capture's scope
 
   // Round coordination.
   std::atomic<bool> round_requested_{false};
@@ -110,8 +109,8 @@ class ThreadedEngine : public EngineCore {
   std::optional<DeadlockReport> deadlock_report_;
   std::chrono::steady_clock::time_point trace_epoch_;
 
-  // Crash-stop: threads cannot be respawned, so the kRestart policy
-  // degrades to redistribution.
+  // Crash-stop: threads cannot be respawned, so a dead worker's LPs are
+  // redistributed over the survivors.
   std::unique_ptr<std::atomic<bool>[]> crashed_;  ///< dead, not yet recovered
   std::atomic<std::uint64_t> crash_count_{0};
 

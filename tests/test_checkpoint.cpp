@@ -38,7 +38,6 @@ using pdes::CheckpointStore;
 using pdes::Configuration;
 using pdes::FaultPlan;
 using pdes::MachineEngine;
-using pdes::RecoveryPolicy;
 using pdes::RunConfig;
 using pdes::RunStats;
 using pdes::SequentialEngine;
@@ -174,8 +173,9 @@ TEST_P(CheckpointRecovery, SingleCrashMatchesOracle) {
       << GetParam().name;
 }
 
-// Repeated crashes, including the same worker dying twice (kRestart
-// revives it in place on the machine engine).
+// Repeated crashes at P=4: recovery retires worker 1 after its first crash,
+// so its second scheduled crash ({1, 150}) never fires; workers 1 and 2
+// still die in separate episodes, each recovered onto the survivors.
 TEST_P(CheckpointRecovery, RepeatedCrashesMatchOracle) {
   testutil::Watchdog wd("CheckpointRecovery.RepeatedCrashesMatchOracle",
                         std::chrono::seconds(120));
@@ -278,7 +278,6 @@ TEST(CheckpointRecoveryModes, RedistributeSurvivesCoordinatorDeath) {
 
   Built par = build_fsm();
   RunConfig rc = base_config(Configuration::kDynamic, until);
-  rc.checkpoint.policy = RecoveryPolicy::kRedistribute;
   rc.transport.faults.crashes.push_back(WorkerCrash{0, 50});
   rc.transport.faults.crashes.push_back(WorkerCrash{2, 110});
   MachineEngine eng(*par.graph,
@@ -329,7 +328,7 @@ TEST(CheckpointMigration, CrashAroundMigrationRoundsMatchesOracle) {
   }
 }
 
-// kRedistribute + rebalancing share the orphan-placement machinery: after
+// Recovery + rebalancing share the orphan-placement machinery: after
 // the dead worker is retired its LPs land on survivors (load- and
 // cut-aware), rebalance rounds keep running over the shrunken worker set,
 // and no LP is ever mapped back to the retired worker.
@@ -342,7 +341,6 @@ TEST(CheckpointMigration, RedistributeComposesWithRebalancing) {
 
   Built par = build_fsm();
   RunConfig rc = base_config(Configuration::kDynamic, until);
-  rc.checkpoint.policy = RecoveryPolicy::kRedistribute;
   rc.rebalance.period = 2;
   rc.rebalance.imbalance_trigger = 0.05;
   rc.transport.faults.crashes.push_back(WorkerCrash{2, 70});
@@ -492,16 +490,18 @@ TEST(CheckpointTransparency, PeriodicCheckpointsDoNotPerturbTrace) {
   }
 }
 
-// Budget exhaustion: a crash-looping cluster (every event kills) must stop
-// after max_recoveries with a structured RecoveryError -- never hang.
+// Budget exhaustion: crash episodes beyond max_recoveries must stop the run
+// with a structured RecoveryError -- never hang.  Workers 1 and 2 die in
+// separate episodes against a budget of one recovery.
 TEST(CheckpointFailure, RecoveryBudgetExhaustionSurfacesError) {
   testutil::Watchdog wd(
       "CheckpointFailure.RecoveryBudgetExhaustionSurfacesError",
       std::chrono::seconds(120));
   Built par = build_fsm();
   RunConfig rc = base_config(Configuration::kDynamic, 250);
-  rc.transport.faults.crash_rate = 1.0;  // every processed event is fatal
-  rc.checkpoint.max_recoveries = 3;
+  rc.transport.faults.crashes.push_back(WorkerCrash{1, 40});
+  rc.transport.faults.crashes.push_back(WorkerCrash{2, 90});
+  rc.checkpoint.max_recoveries = 1;
   MachineEngine eng(*par.graph,
                     partition::round_robin(par.graph->size(), rc.num_workers),
                     rc);
@@ -513,6 +513,25 @@ TEST(CheckpointFailure, RecoveryBudgetExhaustionSurfacesError) {
             std::string::npos);
   EXPECT_NE(st.recovery_error->str().find("budget"), std::string::npos);
   EXPECT_GE(st.checkpoint.crashes, st.checkpoint.recoveries);
+}
+
+// A crash-looping cluster (every processed event is fatal): every worker
+// dies before the first recovery, so nobody is left to take the LPs.
+TEST(CheckpointFailure, AllWorkersDeadSurfacesError) {
+  testutil::Watchdog wd("CheckpointFailure.AllWorkersDeadSurfacesError",
+                        std::chrono::seconds(120));
+  Built par = build_fsm();
+  RunConfig rc = base_config(Configuration::kDynamic, 250);
+  rc.transport.faults.crash_rate = 1.0;
+  MachineEngine eng(*par.graph,
+                    partition::round_robin(par.graph->size(), rc.num_workers),
+                    rc);
+  const RunStats st = eng.run();  // must terminate
+
+  ASSERT_TRUE(st.recovery_error.has_value());
+  EXPECT_NE(st.recovery_error->str().find("no surviving worker"),
+            std::string::npos);
+  EXPECT_EQ(st.checkpoint.crashes, rc.num_workers);
 }
 
 // Same contract on the threaded engine.

@@ -495,8 +495,9 @@ TEST(ClusterStats, MetricsMatchLegacyTotalsUnderClustering) {
 }
 
 // Hierarchical GVT evidence: a machine-model round reduces over per-worker
-// ordered ready sets, so the scan-item counter equals rounds x workers --
-// NOT rounds x LP count as a flat scan would.
+// ready queues, each contributing its heap top plus its parked clusters, so
+// the scan-item counter grows with workers and blocked clusters -- NOT with
+// rounds x LP count as a flat scan would.
 TEST(ClusterStats, GvtScanIsPerWorkerNotPerLp) {
   Fused fz = fuse(build_random(random_params()), /*target_size=*/4);
   RunConfig rc;
@@ -510,8 +511,10 @@ TEST(ClusterStats, GvtScanIsPerWorkerNotPerLp) {
   ASSERT_GT(fz.fused.num_clusters, rc.num_workers);
 
   const std::uint64_t scanned = st.metrics.counter(obs::Metric::kGvtScanItems);
-  EXPECT_EQ(scanned, st.gvt_rounds * rc.num_workers);
-  EXPECT_LT(scanned, st.gvt_rounds * fz.fused.num_clusters);
+  EXPECT_GT(scanned, 0u);
+  EXPECT_LT(scanned, st.gvt_rounds * fz.fused.num_clusters)
+      << "rounds " << st.gvt_rounds << ", clusters "
+      << fz.fused.num_clusters;
 }
 
 // The threaded engine's reduction is two-level too: each worker contributes

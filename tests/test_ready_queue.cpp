@@ -3,17 +3,20 @@
 // distributed engines ran before the queue -- covering updates, parking,
 // re-arm, migration removes and a rebuild after recovery, plus the
 // blocked-poll credit arithmetic.  The `sched` label also runs a threaded
-// P=1 netlist that pins the round sweep to activity, not LP count.
+// P=1 and a machine-model P=16 netlist that pin the round sweep to
+// activity, not LP count.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <map>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "circuits/random_circuit.h"
 #include "partition/partition.h"
+#include "pdes/machine.h"
 #include "pdes/ready_queue.h"
 #include "pdes/sequential.h"
 #include "pdes/threaded.h"
@@ -244,12 +247,25 @@ TEST(ReadyQueue, InfiniteKeysStayOutOfTheHeapButInTheDirtySet) {
   EXPECT_EQ(sweep, (std::vector<LpId>{0}));
 }
 
-// A 10k-signal netlist (~20k LPs) with sparse activity on one worker.  The
-// old scheduler walked every owned LP per event and per round (12-49 s per
-// run); the round sweep must now visit a small fraction of rounds x LPs and
-// the committed trace must still match the sequential oracle.
-TEST(SchedScale, ThreadedP1RoundWorkTracksActivity) {
-  testutil::Watchdog wd("SchedScale.ThreadedP1RoundWorkTracksActivity",
+// A 10k-signal netlist (~20k LPs) with sparse activity.  A scheduler that
+// walks every owned LP per round visits rounds x LPs; the round sweep must
+// visit a fraction of that and the committed trace must still match the
+// sequential oracle.  The threaded P=1 row holds all LPs on one worker; the
+// machine P=16 row sweeps the union of 16 workers' dirty sets, and each of
+// its rounds covers sixteen workers' events, so a larger share of the LPs
+// is dirty per round, hence its looser bound.
+struct SchedRow {
+  const char* name;
+  bool machine;
+  std::uint32_t workers;
+  std::uint64_t divisor;  ///< visits < rounds x LPs / divisor
+};
+
+class SchedScale : public testing::TestWithParam<SchedRow> {};
+
+TEST_P(SchedScale, RoundWorkTracksActivity) {
+  const SchedRow& row = GetParam();
+  testutil::Watchdog wd("SchedScale.RoundWorkTracksActivity",
                         std::chrono::seconds(120));
   const circuits::RandomCircuitParams params =
       circuits::sized_random_params(10'000, 2);
@@ -275,12 +291,19 @@ TEST(SchedScale, ThreadedP1RoundWorkTracksActivity) {
   Built par;
   build(par);
   RunConfig rc;
-  rc.num_workers = 1;
+  rc.num_workers = row.workers;
   rc.until = until;
-  ThreadedEngine eng(par.graph, partition::round_robin(par.graph.size(), 1),
-                     rc);
-  eng.set_commit_hook(par.recorder->hook());
-  const RunStats st = eng.run();
+  const Partition part = partition::round_robin(par.graph.size(), row.workers);
+  RunStats st;
+  if (row.machine) {
+    MachineEngine eng(par.graph, part, rc);
+    eng.set_commit_hook(par.recorder->hook());
+    st = eng.run();
+  } else {
+    ThreadedEngine eng(par.graph, part, rc);
+    eng.set_commit_hook(par.recorder->hook());
+    st = eng.run();
+  }
   ASSERT_FALSE(st.config_error.has_value()) << st.config_error->str();
   EXPECT_FALSE(st.deadlocked);
   EXPECT_EQ(vhdl::TraceRecorder::diff(*ref.recorder, *par.recorder), "");
@@ -291,9 +314,17 @@ TEST(SchedScale, ThreadedP1RoundWorkTracksActivity) {
   ASSERT_GE(lps, 19'000u);
   ASSERT_GT(st.gvt_rounds, 1u);
   EXPECT_GT(visits, 0u);
-  EXPECT_LT(visits, st.gvt_rounds * lps / 10)
+  EXPECT_LT(visits, st.gvt_rounds * lps / row.divisor)
       << "rounds " << st.gvt_rounds << ", LPs " << lps;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, SchedScale,
+    testing::Values(SchedRow{"threaded_p1", false, 1, 10},
+                    SchedRow{"machine_p16", true, 16, 2}),
+    [](const testing::TestParamInfo<SchedRow>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace vsim::pdes
