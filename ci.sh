@@ -15,6 +15,29 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DVSIM_SANITIZE= \
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "==> Contention: round barrier and threaded engine beside a CPU hog"
+# The threaded engine's round barrier spins for a few microseconds before it
+# parks, and load is what can break a spin: a waiter burning the core its
+# late partner needs.  So the barrier's tests, the threaded suite and the
+# threaded crash-recovery rows run again next to three busy-loop processes.
+# Each hog is bounded by `timeout` and killed by PID when the step ends.
+hog_pids=()
+stop_hogs() {
+  for pid in "${hog_pids[@]}"; do kill "$pid" 2>/dev/null || true; done
+  for pid in "${hog_pids[@]}"; do wait "$pid" 2>/dev/null || true; done
+  hog_pids=()
+}
+trap stop_hogs EXIT
+for _ in 1 2 3; do
+  timeout 900 sh -c 'while :; do :; done' &
+  hog_pids+=("$!")
+done
+./build/tests/test_round_barrier
+./build/tests/test_threaded
+./build/tests/test_checkpoint --gtest_filter='CheckpointThreaded.*'
+stop_hogs
+trap - EXIT
+
 echo "==> Stress: 200-seed equivalence matrix vs the sequential oracle"
 # The default ctest entry above ran the fast smoke sweep; this is the full
 # determinism matrix (seeds x configurations x ordering modes) the hot-path
@@ -60,7 +83,8 @@ echo "==> Scheduler smoke: ready queue vs reference scan, activity-bound rounds"
 # updates, parks, re-arms, migrations and rebuilds.  On a ~20k-LP netlist,
 # a threaded P=1 run must match the oracle while its round sweeps visit
 # under a tenth of rounds x LPs, and a machine-model P=16 run must match it
-# while its sweeps visit under half.
+# while its sweeps visit under half.  The label also carries the threaded
+# round barrier's tests (completion step, leave, spin and park paths).
 ctest --test-dir build -L sched --output-on-failure
 
 echo "==> Doc links: no dangling DESIGN.md/README anchors or section refs"
@@ -159,6 +183,10 @@ TSAN_OPTIONS="halt_on_error=1" \
 # binary is ever split.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan -L mailbox --output-on-failure
+# Likewise the round barrier every threaded GVT round crosses: its spin,
+# park and completion paths are plain atomics and one condition variable.
+TSAN_OPTIONS="halt_on_error=1" \
+  ctest --test-dir build-tsan -R '^test_round_barrier$' --output-on-failure
 
 echo "==> Sanitizer fallback: native backend must refuse to dlopen"
 # A TSan binary must never load the uninstrumented .so the codegen backend

@@ -57,6 +57,7 @@ const char* metric_name(Metric m) {
     case Metric::kAdaptPins: return "adapt.pinned";
     case Metric::kAdaptDeferrals: return "adapt.deferrals";
     case Metric::kRoundLpVisits: return "engine.round_lp_visits";
+    case Metric::kRoundBarriers: return "engine.round_barriers";
     case Metric::kCount: break;
   }
   return "unknown";

@@ -97,6 +97,10 @@ enum class Metric : std::uint16_t {
   /// visited: dirty LPs only in every engine, so it tracks activity, not
   /// rounds x LPs.
   kRoundLpVisits,
+  /// engine.round_barriers — completed round-barrier generations (threaded
+  /// engine): the stop barrier, one per drain pass and the end barrier of
+  /// every GVT round.
+  kRoundBarriers,
   kCount
 };
 

@@ -128,8 +128,10 @@ struct TransportConfig {
   /// blackout_span windows back-to-back must not be declared dead.
   std::uint32_t max_retries = 100;
   /// Initial retransmit timeout in engine time units (virtual clock for the
-  /// machine engine, scheduler loop iterations for the threaded engine),
-  /// doubled after every retry.
+  /// machine engine, scheduler loop iterations for the threaded engine,
+  /// milliseconds for the distributed engine, which raises it to
+  /// net.heartbeat_timeout_ms when neither faults nor fault tolerance are
+  /// on), doubled after every retry.
   double rto = 16.0;
 };
 

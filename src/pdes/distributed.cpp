@@ -340,6 +340,15 @@ DistributedEngine::DistributedEngine(LpGraph& graph, Partition partition,
     config_.net.connect_timeout_ms = scale(config_.net.connect_timeout_ms);
     config_.net.reconnect_max_ms = scale(config_.net.reconnect_max_ms);
   }
+  // A stream loses an unacked frame only when its connection breaks, and
+  // heartbeats notice a break within heartbeat_timeout_ms.  Resending any
+  // sooner only duplicates the frames of a rank that is merely slow (a
+  // loaded host), so on a wire that only reconnects -- no injected faults,
+  // no rank deaths -- the retransmit timeout is the heartbeat timeout.
+  if (!force_flush_drain())
+    config_.transport.rto =
+        std::max(config_.transport.rto,
+                 static_cast<double>(config_.net.heartbeat_timeout_ms));
   replicas_ = std::min<std::uint32_t>(config_.checkpoint.replicas, nranks_);
   dead_pending_.assign(nranks_, false);
   pids_.assign(nranks_, -1);
@@ -1020,12 +1029,15 @@ void DistributedEngine::rank_handle(const ControlMsg& m) {
 }
 
 DistributedEngine::DrainVote DistributedEngine::drain_vote() {
-  // Force everything we hold onto the wire -- once per pass, and only when
-  // every link is actually up: each force-retransmission bills a retry
-  // attempt, and forcing into a reconnecting link would spend the whole
-  // budget on one outage.  With a link down, the pass simply votes
-  // non-quiescent and the coordinator keeps draining.
-  if (node_->all_links_up())
+  // The socket streams are reliable and ordered, so a wire that only
+  // reconnects needs just the timer-driven retransmits of poll(): they
+  // repair what a reconnect lost.  With injected faults or rank deaths the
+  // drain forces everything back out -- once per pass, and only when every
+  // link is actually up: each force-retransmission bills a retry attempt,
+  // and forcing into a reconnecting link would spend the whole budget on
+  // one outage.  With a link down, the pass simply votes non-quiescent and
+  // the coordinator keeps draining.
+  if (force_flush_drain() && node_->all_links_up())
     net_->flush(rank_, nowd());
   else
     net_->poll(rank_, nowd());

@@ -143,6 +143,12 @@ class DistributedEngine : public EngineCore {
   /// its own): flush what we hold, then report quiescence and the local
   /// GVT candidate.
   DrainVote drain_vote();
+  /// Whether drains force-retransmit (and the retransmit timeout stays
+  /// short): only when the wire can lose more than a reconnect does, with
+  /// injected faults or with rank deaths possible.
+  [[nodiscard]] bool force_flush_drain() const {
+    return config_.transport.faults.active() || ft_on_;
+  }
   /// Adds the socket node's counters to the metrics shard.
   void fold_node_counters();
   void capture_fault_ring(std::uint64_t round);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <thread>
 
 #include "partition/rebalance.h"
@@ -16,44 +15,6 @@ namespace vsim::pdes {
 constexpr std::uint32_t kEventSlice = 16;
 /// Consecutive empty iterations before a worker counts as idle.
 constexpr std::uint32_t kIdleSpins = 16;
-
-// Reusable cyclic barrier (std::barrier lacks a default constructor and we
-// want a stable address across rounds).
-class RoundBarrier {
- public:
-  explicit RoundBarrier(std::size_t n) : n_(n) {}
-
-  void arrive_and_wait() {
-    std::unique_lock<std::mutex> lock(m_);
-    const std::uint64_t gen = gen_;
-    if (++count_ == n_) {
-      count_ = 0;
-      ++gen_;
-      cv_.notify_all();
-    } else {
-      cv_.wait(lock, [&] { return gen_ != gen; });
-    }
-  }
-
-  /// Permanently withdraws one participant (crash-stop).  If everyone else
-  /// already arrived, the leaver completes the waiting generation.
-  void leave() {
-    std::lock_guard<std::mutex> lock(m_);
-    --n_;
-    if (n_ > 0 && count_ == n_) {
-      count_ = 0;
-      ++gen_;
-      cv_.notify_all();
-    }
-  }
-
- private:
-  std::size_t n_;
-  std::size_t count_ = 0;
-  std::uint64_t gen_ = 0;
-  std::mutex m_;
-  std::condition_variable cv_;
-};
 
 // The threaded engine's wire: an append to the SUBMITTING worker's
 // per-destination outbox buffer.  The transport threading contract
@@ -282,28 +243,34 @@ void ThreadedEngine::worker_main(std::size_t wi) {
     }
 
     // ---- Synchronisation round (DESIGN.md "GVT round pipeline") ----
+    // Every step that needs the other workers held runs as the completion
+    // of the barrier that ends a phase, on its last arriver: a round is the
+    // stop barrier, one barrier per drain pass, and the end barrier.
     idle_spins = 0;
     double round_start = 0.0;
     VSIM_TRACE(if (trace_ != nullptr) round_start = tnow());
     barrier_->arrive_and_wait();  // everyone stops sending new work
     // The participant set and the crash flags are frozen from here to the
     // end of the round: crashes happen only in the work phase, and a worker
-    // that crashed before this barrier completed performed its leave()
-    // under the barrier mutex first -- so every participant computes the
-    // same coordinator and the same crash_pending verdict below.
+    // that crashed before this barrier completed raised its flag before its
+    // leave() -- so every participant computes the same coordinator and the
+    // same crash_pending verdict below.
     const std::size_t coord = ft_on_ ? first_live_worker() : 0;
     const bool crash_pending = ft_on_ && any_crashed_unretired();
-    if (!crash_pending) {
+    if (crash_pending) {
+      // No drain: in-flight traffic to the dead worker can never be
+      // acknowledged, so draining would only burn the retransmission budget
+      // before recovery gets to discard the timeline anyway.
+      barrier_->arrive_and_wait([&] { coordinator_round(coord, true); });
+    } else {
       // Drain the network to a fixed point (anti-message cascades
-      // included).  Three barriers per pass: reset -> add -> read, so that
-      // no worker can observe the next pass's reset while another still
-      // reads this pass.  Drain-until-quiet: a pass counts both delivered
-      // packets and packets the transport stack pushed back onto the wire
+      // included).  Drain-until-quiet: a pass counts both delivered packets
+      // and packets the transport stack pushed back onto the wire
       // (retransmissions of unacked data, reorder holdbacks); the network
-      // is only quiescent once a full pass moves nothing anywhere.
-      for (;;) {
-        if (wi == coord) drained_in_pass_.store(0, std::memory_order_relaxed);
-        barrier_->arrive_and_wait();
+      // is only quiescent once a full pass moves nothing anywhere.  Every
+      // worker adds its count before it arrives, so the pass barrier's
+      // completion reads the whole pass and resets the sum for the next.
+      do {
         // Publish own buffered sends before draining, and again after the
         // flush (retransmits land in the outboxes): both are counted, so
         // the pass loop cannot declare quiescence while a packet still
@@ -315,57 +282,12 @@ void ThreadedEngine::worker_main(std::size_t wi) {
         n += net_->flush(static_cast<std::uint32_t>(wi), now(wi));
         n += flush_outboxes(wi);
         drained_in_pass_.fetch_add(n, std::memory_order_relaxed);
-        barrier_->arrive_and_wait();
-        const bool empty =
-            drained_in_pass_.load(std::memory_order_relaxed) == 0;
-        barrier_->arrive_and_wait();
-        if (empty) break;
-      }
-      // Local minimum over owned LPs: the per-worker leg of the two-level
-      // GVT reduction (the coordinator merges P candidates).  It reads the
-      // heap top and the parked keys, so the scan-items metric grows with
-      // the blocked-LP count, not with the owned count.
-      const VirtualTime local_min = w.ready.min_key();
-      metrics_.shard(wi).inc(obs::Metric::kGvtScanItems,
-                             (w.ready.empty() ? 0 : 1) +
-                                 w.ready.parked_count());
-      {
-        std::lock_guard<std::mutex> lock(gvt_mutex_);
-        gvt_candidate_ = std::min(gvt_candidate_, local_min);
-      }
-    }
-    // With a crash pending the drain is skipped entirely: in-flight
-    // traffic to the dead worker can never be acknowledged, so draining
-    // would only burn the retransmission budget before recovery gets to
-    // discard the timeline anyway.
-    barrier_->arrive_and_wait();
-    if (wi == coord) {
-      ++gvt_rounds_;
-      metrics_.shard(wi).inc(obs::Metric::kGvtRounds);
-      gate_.begin_round();
-      if (crash_pending) {
-        verdict_ = RoundVerdict{};
-        double rec_start = 0.0;
-        VSIM_TRACE(if (trace_ != nullptr) rec_start = tnow());
-        const std::uint32_t rec0 = recoveries_;
-        if (coordinator_recover())
-          round_requested_.store(false, std::memory_order_release);
-        // on failure coordinator_recover() already set done_
-        VSIM_TRACE(if (trace_ != nullptr && recoveries_ != rec0) {
-          trace_->complete(wi, "ckpt", "recovery", rec_start,
-                           tnow() - rec_start);
+        barrier_->arrive_and_wait([&] {
+          pass_empty_ =
+              drained_in_pass_.exchange(0, std::memory_order_relaxed) == 0;
+          if (pass_empty_) coordinator_round(coord, false);
         });
-        (void)rec0;
-        (void)rec_start;
-      } else {
-        coordinator_verdict(wi);
-      }
-      // Safe merge point: every other worker is parked at the barrier below,
-      // so no shard is being written.
-      metrics_.merge();
-    }
-    barrier_->arrive_and_wait();
-    if (!crash_pending) {
+      } while (!pass_empty_);
       // Each worker sweeps its own dirty LPs as its own adaptation scope;
       // for any other LP the visit is a no-op, so the sweep costs
       // O(activity), not O(owned).  A stopping round commits everything.
@@ -375,15 +297,16 @@ void ThreadedEngine::worker_main(std::size_t wi) {
       sweep(w.sweep, w.ready.size(),
             done_.load(std::memory_order_acquire) ? kTimeInf : safe_bound_,
             router, [&](LpId) { return SweepTarget{w.ready, true}; });
-      if (verdict_.rebalance && !verdict_.stop) {
-        barrier_->arrive_and_wait();  // every sweep finished
-        if (wi == coord) coordinator_rebalance(wi);
-      }
+      // The end barrier: every sweep finished, so a due rebalance can move
+      // any LP; releasing the workers publishes the new mapping to their
+      // routers.
+      barrier_->arrive_and_wait([&] {
+        if (verdict_.rebalance && !verdict_.stop) coordinator_rebalance(coord);
+      });
+      w.ready.rearm();  // the new bound may unblock any
     }
     w.events_since_round = 0;
     owes_slice = true;
-    barrier_->arrive_and_wait();
-    if (!crash_pending) w.ready.rearm();  // the new bound may unblock any
     VSIM_TRACE(if (trace_ != nullptr) {
       trace_->complete(wi, "gvt", "gvt", round_start, tnow() - round_start);
     });
@@ -412,9 +335,43 @@ bool ThreadedEngine::any_crashed_unretired() const {
   return false;
 }
 
+void ThreadedEngine::coordinator_round(std::size_t coord, bool crash_pending) {
+  ++gvt_rounds_;
+  metrics_.shard(coord).inc(obs::Metric::kGvtRounds);
+  gate_.begin_round();
+  if (crash_pending) {
+    verdict_ = RoundVerdict{};
+    double rec_start = 0.0;
+    VSIM_TRACE(if (trace_ != nullptr) rec_start = tnow());
+    const std::uint32_t rec0 = recoveries_;
+    if (coordinator_recover())
+      round_requested_.store(false, std::memory_order_release);
+    // on failure coordinator_recover() already set done_
+    VSIM_TRACE(if (trace_ != nullptr && recoveries_ != rec0) {
+      trace_->complete(coord, "ckpt", "recovery", rec_start,
+                       tnow() - rec_start);
+    });
+    (void)rec0;
+    (void)rec_start;
+  } else {
+    coordinator_verdict(coord);
+  }
+  // Safe merge point: every other worker is held at the barrier.
+  metrics_.merge();
+}
+
 void ThreadedEngine::coordinator_verdict(std::size_t coord) {
-  const VirtualTime gvt = gvt_candidate_;
-  gvt_candidate_ = kTimeInf;
+  // The two-level GVT reduction over the live workers.  Each worker's leg
+  // reads its heap top and its parked keys, so the scan-items metric grows
+  // with the blocked-LP count, not with the owned count.
+  VirtualTime gvt = kTimeInf;
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (worker_dead(i)) continue;
+    const ReadyQueue& q = workers_[i]->ready;
+    gvt = std::min(gvt, q.min_key());
+    metrics_.shard(i).inc(obs::Metric::kGvtScanItems,
+                          (q.empty() ? 0 : 1) + q.parked_count());
+  }
   safe_bound_ = gvt;
   std::uint64_t total_events = 0;
   for (const auto& worker : workers_) total_events += worker->stats.events;
@@ -423,8 +380,8 @@ void ThreadedEngine::coordinator_verdict(std::size_t coord) {
   verdict_ = gate_.judge(gvt, total_events, transport_failed_);
   if (verdict_.deadlock) {
     deadlocked_ = true;
-    // All other workers are parked at the next barrier, so reading their
-    // LPs here is race-free.
+    // All other workers are held at the barrier, so reading their LPs here
+    // is race-free.
     deadlock_report_ = deadlock_report(gvt);
   }
   if (verdict_.stop) {
@@ -496,7 +453,7 @@ bool ThreadedEngine::coordinator_recover() {
   for (auto& wp : workers_) {
     // In-flight packets belong to the abandoned timeline: published batches
     // and unflushed producer buffers alike.  Every surviving worker is
-    // parked at a barrier, so touching their mailboxes here is race-free.
+    // held at the barrier, so touching their mailboxes here is race-free.
     wp->inbox.clear();
     for (auto& buf : wp->outbox) buf.clear();
     wp->events_since_round = 0;
@@ -538,6 +495,7 @@ RunStats ThreadedEngine::run() {
     fail_recovery(first_dead, "all workers crashed");
   }
 
+  metrics_.shard(0).inc(obs::Metric::kRoundBarriers, barrier_->generations());
   fill_run_stats(out);
   for (const auto& w : workers_) out.per_worker.push_back(w->stats);
   out.deadlock_report = deadlock_report_;

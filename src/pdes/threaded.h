@@ -6,8 +6,13 @@
 // publish each buffer as one batch per scheduling round, and the receiver
 // drains its inbox with a single atomic exchange.  GVT uses barrier rounds
 // with full network draining, which is exact in shared memory: between the
-// first and last barrier of a round no worker sends, so the drained state
-// contains every in-flight message.
+// first and last barrier of a round no worker sends new work, so the
+// drained state contains every in-flight message.  The barrier
+// (round_barrier.h) spins briefly before it parks, and the steps that need
+// every other worker held -- the drain-pass reduction, GVT, the verdict,
+// checkpoint, recovery, rebalance -- run as completions of the barriers
+// that end the round's phases, so a round is the stop barrier, one barrier
+// per drain pass and the end barrier.
 //
 // This engine is the production runtime on real multiprocessors; the
 // machine-model engine (machine.h) executes the same LpRuntime protocol
@@ -18,12 +23,12 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "pdes/engine_core.h"
 #include "pdes/mailbox.h"
+#include "pdes/round_barrier.h"
 
 namespace vsim::pdes {
 
@@ -32,7 +37,7 @@ class ThreadedEngine : public EngineCore {
   /// The commit hook may be called concurrently from different workers,
   /// but calls for any single LP are ordered.
   ThreadedEngine(LpGraph& graph, Partition partition, RunConfig config);
-  ~ThreadedEngine();  // out-of-line: RoundBarrier is an incomplete type here
+  ~ThreadedEngine();  // out-of-line: ThreadedWire is an incomplete type here
 
   RunStats run();
 
@@ -82,16 +87,23 @@ class ThreadedEngine : public EngineCore {
   /// Coordinator for the current round: the lowest live worker.
   [[nodiscard]] std::size_t first_live_worker() const;
   [[nodiscard]] bool any_crashed_unretired() const;
-  /// Coordinator-only: heartbeat accounting + recovery once the budget is
-  /// reached.  Returns false when recovery failed (done_ is already set and
-  /// the run unwinds with recovery_error_).
+  // The coordinator steps run as barrier completions, on whichever worker
+  // arrives last, with every other worker held; `coord` (the lowest live
+  // worker) names the shard and trace track they are charged to.
+
+  /// Closes the round after the drain: counts it, then either recovers
+  /// (crash pending) or runs the verdict, and merges the metrics.
+  void coordinator_round(std::size_t coord, bool crash_pending);
+  /// Heartbeat accounting + recovery once the budget is reached.  Returns
+  /// false when recovery failed (done_ is already set and the run unwinds
+  /// with recovery_error_).
   bool coordinator_recover();
-  /// Coordinator-only, every other worker parked: GVT, the round verdict
-  /// and, when due, pipeline step 3 over every worker's LPs.
+  /// GVT over every live worker's ready queue, the round verdict and, when
+  /// due, pipeline step 3 over every worker's LPs.
   void coordinator_verdict(std::size_t coord);
-  /// Coordinator-only, every other worker parked after its sweep: pipeline
-  /// step 5, retargeting ready queues and partition_; the barrier that
-  /// releases the other workers publishes the new mapping to their routers.
+  /// After every sweep: pipeline step 5, retargeting ready queues and
+  /// partition_; releasing the workers publishes the new mapping to their
+  /// routers.
   void coordinator_rebalance(std::size_t coord);
 
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -103,9 +115,11 @@ class ThreadedEngine : public EngineCore {
   /// worker without parked LPs forces a round only when this reaches the
   /// worker count: until then a busy worker's rounds advance GVT for it.
   std::atomic<std::size_t> idle_workers_{0};
+  /// Packets moved in the current drain pass, summed over the workers.
   std::atomic<std::uint64_t> drained_in_pass_{0};
-  std::mutex gvt_mutex_;
-  VirtualTime gvt_candidate_ = kTimeInf;
+  /// The last drain pass moved nothing; written by the pass barrier's
+  /// completion, read by every worker after it.
+  bool pass_empty_ = false;
   std::optional<DeadlockReport> deadlock_report_;
   std::chrono::steady_clock::time_point trace_epoch_;
 
@@ -115,7 +129,7 @@ class ThreadedEngine : public EngineCore {
   std::atomic<std::uint64_t> crash_count_{0};
 
   std::unique_ptr<ThreadedWire> wire_;
-  std::unique_ptr<class RoundBarrier> barrier_;
+  std::unique_ptr<RoundBarrier> barrier_;
 };
 
 }  // namespace vsim::pdes

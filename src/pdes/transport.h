@@ -22,8 +22,10 @@
 // is touched only from worker `src`, and all receiver-side state (expected
 // sequence, reorder buffer) only from worker `dst`.  send()/poll()/flush()
 // must be called from the link's source worker and on_wire_delivery() from
-// the packet's destination worker; counters are aggregated after the
-// workers have joined (or inside a barrier round).
+// the packet's destination worker -- or on that worker's behalf by the
+// thread running a round barrier's completion while the worker is held at
+// the barrier (the barrier orders the two threads' accesses).  Counters
+// are aggregated after the workers have joined (or inside a barrier round).
 //
 // Links are indexed by (src worker, dst worker), never by LP, and senders
 // resolve the destination worker from the partition map per send.  LP

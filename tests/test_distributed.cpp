@@ -173,7 +173,8 @@ TEST(Distributed, FourRankSocketRunMatchesOracle) {
     EXPECT_FALSE(st.deadlocked) << tc.name;
     EXPECT_FALSE(st.transport_error.has_value())
         << tc.name << ": " << st.transport_error->str();
-    EXPECT_FALSE(st.recovery_error.has_value()) << tc.name;
+    EXPECT_FALSE(st.recovery_error.has_value())
+        << tc.name << ": " << st.recovery_error->str();
     EXPECT_EQ(TraceRecorder::diff(*ref.recorder, *par.recorder), "")
         << tc.name;
     EXPECT_EQ(st.per_worker.size(), 4u) << tc.name;
@@ -182,6 +183,11 @@ TEST(Distributed, FourRankSocketRunMatchesOracle) {
     EXPECT_GT(st.metrics.counter(obs::Metric::kNetFramesSent), 0u) << tc.name;
     EXPECT_GT(st.metrics.counter(obs::Metric::kNetFramesRecv), 0u) << tc.name;
     EXPECT_GT(st.transport.data_sent, 0u) << tc.name;
+    // The fault-free socket wire is reliable on its own: drains poll the
+    // retransmit timers instead of force-resending every unacked packet.
+    // Slow (sanitized) runs may still hit the timeout now and then.
+    EXPECT_LE(st.transport.retransmits, st.transport.data_sent / 100)
+        << tc.name << ": data " << st.transport.data_sent;
     std::uint64_t rank_events = 0;
     for (const auto& w : st.per_worker) rank_events += w.events;
     EXPECT_GT(rank_events, 0u) << tc.name;

@@ -9,6 +9,7 @@
 
 #include "circuits/dct.h"
 #include "circuits/fsm.h"
+#include "circuits/random_circuit.h"
 #include "partition/partition.h"
 #include "pdes/mailbox.h"
 #include "pdes/sequential.h"
@@ -140,6 +141,55 @@ TEST(Threaded, GateLevelDctRunsClean) {
   const RunStats st = eng.run();
   EXPECT_FALSE(st.deadlocked);
   EXPECT_GT(st.total_committed(), 1000u);
+}
+
+TEST(Threaded, GateLevelNetlistRoundsCostFewBarriers) {
+  // A round is the stop barrier, one barrier per drain pass and the end
+  // barrier, with the pass reduction, GVT and the verdict folded into the
+  // pass barriers' completions.  Separate reset/add/read barriers per pass
+  // plus post-GVT and post-verdict barriers would cost 4 + 3 x passes,
+  // about 12 per round here.
+  testutil::Watchdog wd("Threaded.GateLevelNetlistRoundsCostFewBarriers",
+                        std::chrono::seconds(120));
+  const circuits::RandomCircuitParams params =
+      circuits::sized_random_params(2'000, 5);
+  const PhysTime until = 60;
+  struct Net {
+    LpGraph graph;
+    std::unique_ptr<vhdl::Design> design;
+    std::unique_ptr<vhdl::TraceRecorder> recorder;
+  };
+  auto build_net = [&](Net& n) {
+    n.design = std::make_unique<vhdl::Design>(n.graph);
+    const auto c = circuits::build_random_circuit(*n.design, params);
+    n.recorder =
+        std::make_unique<vhdl::TraceRecorder>(*n.design, c.observable);
+    n.design->finalize();
+  };
+  Net ref;
+  build_net(ref);
+  SequentialEngine seq(ref.graph);
+  seq.set_commit_hook(ref.recorder->hook());
+  seq.run(until);
+
+  Net par;
+  build_net(par);
+  RunConfig rc;
+  rc.num_workers = 4;
+  rc.until = until;
+  ThreadedEngine eng(par.graph, partition::round_robin(par.graph.size(), 4),
+                     rc);
+  eng.set_commit_hook(par.recorder->hook());
+  const RunStats st = eng.run();
+  ASSERT_FALSE(st.config_error.has_value()) << st.config_error->str();
+  EXPECT_FALSE(st.deadlocked);
+  EXPECT_EQ(vhdl::TraceRecorder::diff(*ref.recorder, *par.recorder), "");
+  EXPECT_EQ(st.metrics.counter(obs::Metric::kMigrations), 0u);
+  const std::uint64_t barriers =
+      st.metrics.counter(obs::Metric::kRoundBarriers);
+  ASSERT_GT(st.gvt_rounds, 1u);
+  EXPECT_GE(barriers, 3 * st.gvt_rounds);  // stop + at least one pass + end
+  EXPECT_LT(barriers, 6 * st.gvt_rounds) << "rounds " << st.gvt_rounds;
 }
 
 // ---- batch-drained MPSC mailbox corner cases ----
