@@ -47,13 +47,17 @@ VSIM_STRESS_SEEDS="${VSIM_STRESS_SEEDS:-200}" \
 
 echo "==> Distributed smoke: 4-rank UDS mesh vs oracle + SIGKILL recovery"
 # The full distributed suite already ran inside the ctest sweep above; this
-# repeats the three load-bearing scenarios as a named gate: a plain
-# 4-process socket run must match the sequential oracle bit-exactly, a run
-# whose rank 2 is SIGKILLed mid-flight must recover from the shipped
-# checkpoints to the very same trace, and a run whose COORDINATOR (rank 0)
-# is SIGKILLed must fail over to rank 1 and still commit the oracle trace
-# exactly once.
-./build/tests/test_distributed --gtest_filter='Distributed.FourRankSocketRunMatchesOracle:Distributed.SigkilledRankRecoversToOracle:Distributed.CoordinatorKillRecoversToOracle'
+# repeats the load-bearing scenarios as a named gate: a plain 4-process
+# socket run must match the sequential oracle bit-exactly, a run whose
+# rank 2 is SIGKILLed mid-flight must recover from the shipped checkpoints
+# to the very same trace, and a run whose COORDINATOR (rank 0) is SIGKILLed
+# must fail over to rank 1 and still commit the oracle trace exactly once.
+# Two more pin the transport's derivation from the wire: chaos plus a kill
+# must still match the oracle now that recovery resets the channel stack
+# and the fault RNGs run on instead of rewinding, and a transient socket
+# disconnect must heal without loss -- the reconnect case that keeps the
+# reliable layer on the socket mesh.
+./build/tests/test_distributed --gtest_filter='Distributed.FourRankSocketRunMatchesOracle:Distributed.SigkilledRankRecoversToOracle:Distributed.CoordinatorKillRecoversToOracle:Distributed.ChaosPlusKillStillMatchesOracle:Distributed.TransientDisconnectHealsWithoutLoss'
 
 echo "==> Codegen smoke: native backend bit-identical to the interpreter"
 # The ctest sweep above already ran these rows; the named gate keeps the

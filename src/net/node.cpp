@@ -27,7 +27,10 @@ std::uint32_t decode_u32_payload(const FrameView& view) {
 
 SocketNode::SocketNode(std::uint32_t rank, std::uint32_t nranks,
                        const pdes::NetConfig& cfg)
-    : rank_(rank), nranks_(nranks), cfg_(cfg), out_(nranks),
+    : rank_(rank), nranks_(nranks), cfg_(cfg),
+      connect_timeout_ms_(pdes::scaled_ms(pdes::kConnectTimeoutMs)),
+      reconnect_max_ms_(pdes::scaled_ms(pdes::kReconnectMaxMs)),
+      out_(nranks),
       last_heard_(nranks, now_ms()), retired_(nranks, false),
       start_ms_(now_ms()),
       disconnect_fired_(cfg.disconnects.size(), false) {}
@@ -103,7 +106,7 @@ void SocketNode::start_dial(OutConn& oc, std::uint32_t dst, std::int64_t now) {
   }
   oc.fd = fd;
   oc.state = OutState::kConnecting;
-  oc.dial_deadline_ms = now + cfg_.connect_timeout_ms;
+  oc.dial_deadline_ms = now + connect_timeout_ms_;
 }
 
 void SocketNode::fail_or_backoff(OutConn& oc, std::int64_t now) {
@@ -112,21 +115,19 @@ void SocketNode::fail_or_backoff(OutConn& oc, std::int64_t now) {
   // Attempts before the very first establishment inside the initial connect
   // window are free: peers fork and bind asynchronously, and punishing the
   // bind race would make every startup a near-death experience.
-  const bool grace = !oc.ever_connected &&
-                     now < start_ms_ + static_cast<std::int64_t>(
-                                           cfg_.connect_timeout_ms);
+  const bool grace =
+      !oc.ever_connected && now < start_ms_ + connect_timeout_ms_;
   if (!grace) ++oc.attempts;
-  if (oc.attempts >= cfg_.reconnect_max_attempts) {
+  if (oc.attempts >= pdes::kReconnectMaxAttempts) {
     oc.state = OutState::kFailed;
     oc.frames.clear();
     oc.head_written = 0;
     return;
   }
   const std::uint32_t shift = std::min(oc.attempts, 20u);
-  const std::int64_t delay =
-      std::min<std::int64_t>(static_cast<std::int64_t>(cfg_.reconnect_base_ms)
-                                 << shift,
-                             cfg_.reconnect_max_ms);
+  const std::int64_t delay = std::min<std::int64_t>(
+      static_cast<std::int64_t>(pdes::kReconnectBaseMs) << shift,
+      reconnect_max_ms_);
   oc.state = OutState::kBackoff;
   oc.next_dial_ms = now + std::max<std::int64_t>(delay, 1);
 }
@@ -336,7 +337,7 @@ std::size_t SocketNode::pump(int timeout_ms) {
       if (fd < 0) break;
       InConn ic;
       ic.fd = fd;
-      ic.parser = std::make_unique<FrameParser>(cfg_.max_frame_bytes);
+      ic.parser = std::make_unique<FrameParser>(pdes::kMaxFrameBytes);
       in_.push_back(std::move(ic));
     }
   }

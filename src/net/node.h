@@ -161,6 +161,10 @@ class SocketNode {
   std::uint32_t rank_;
   std::uint32_t nranks_;
   pdes::NetConfig cfg_;
+  /// pdes::kConnectTimeoutMs and kReconnectMaxMs, stretched by
+  /// $VSIM_TIME_SCALE (pdes::scaled_ms).
+  std::int64_t connect_timeout_ms_;
+  std::int64_t reconnect_max_ms_;
   FrameHandler handler_;
   std::uint32_t epoch_ = 0;
 

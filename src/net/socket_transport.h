@@ -7,11 +7,12 @@
 // submit() serialises the Packet with the checkpoint codec's event encoding
 // (pdes/checkpoint.h) and queues it as one kData frame to the destination
 // rank; inbound kData frames are decoded by the engine's frame handler and
-// fed back into ChannelStack::on_wire_delivery().  The wire is therefore
-// exactly as reliable as TCP/UDS minus injected faults: FaultyTransport
-// drops/duplicates/reorders *above* this layer, on real network traffic,
-// and the ChannelStack's seq/ack/retransmit machinery repairs both injected
-// faults and genuine connection losses the SocketNode reports.
+// fed back into ChannelStack::on_wire_delivery().  A stream socket is
+// reliable while its connection lives, but a reconnect may drop or replay
+// the frame that straddled the break, so this wire is not lossless() and the
+// ChannelStack above always composes seq/ack/retransmit.  That machinery
+// repairs both those reconnect losses and the faults a FaultyTransport
+// injects *above* this layer, on real network traffic.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,7 @@ class SocketTransport final : public pdes::Transport {
   /// dropped -- the reliable layer keeps them in flight and the engine's
   /// link-down handling decides whether that is fatal.
   void submit(pdes::Packet&& pkt, double now) override;
+  [[nodiscard]] bool lossless() const override { return false; }
 
  private:
   SocketNode& node_;

@@ -39,9 +39,10 @@ constexpr std::uint8_t kMagic[4] = {'V', 'C', 'K', 'P'};
 // v2: appends per-LP state blobs (so a file can revive a fresh process) and
 // a trailing CRC32 over everything before it (so torn spills are detectable
 // by content, not just by decode luck).  v3: events carry the clustering
-// sub-destination (Event::sub).  Older files are not readable; nothing
-// durable outlives a run of the version that wrote it.
-constexpr std::uint32_t kVersion = 3;
+// sub-destination (Event::sub).  v4: drops the per-link channel and fault
+// cursor sections (recovery resets the transport instead).  Older files are
+// not readable; nothing durable outlives a run of the version that wrote it.
+constexpr std::uint32_t kVersion = 4;
 
 }  // namespace
 
@@ -142,16 +143,6 @@ std::vector<std::uint8_t> CheckpointStore::encode_portable(
   for (const LpCheckpoint& lp : ck.lps) encode_lp_checkpoint(w, lp);
   w.u64(ck.last_promise.size());
   for (const VirtualTime& t : ck.last_promise) w.vt(t);
-  w.u64(ck.links.size());
-  for (const LinkCheckpoint& l : ck.links) {
-    w.u64(l.next_seq);
-    w.u64(l.expected);
-  }
-  w.u64(ck.fault_links.size());
-  for (const FaultLinkCheckpoint& l : ck.fault_links) {
-    w.u64(l.rng);
-    w.u32(l.blackout_left);
-  }
   w.u64(ck.state_blobs.size());
   for (const std::vector<std::uint8_t>& b : ck.state_blobs) w.blob(b);
   w.u32(common::crc32(buf.data(), buf.size()));
@@ -185,20 +176,6 @@ bool CheckpointStore::decode_portable(const std::vector<std::uint8_t>& buf,
   ck.last_promise.reserve(static_cast<std::size_t>(nprom));
   for (std::uint64_t i = 0; i < nprom && r.ok(); ++i)
     ck.last_promise.push_back(r.vt());
-  const std::uint64_t nlinks = r.u64();
-  if (!r.ok() || nlinks > buf.size()) return false;
-  ck.links.resize(static_cast<std::size_t>(nlinks));
-  for (LinkCheckpoint& l : ck.links) {
-    l.next_seq = r.u64();
-    l.expected = r.u64();
-  }
-  const std::uint64_t nfault = r.u64();
-  if (!r.ok() || nfault > buf.size()) return false;
-  ck.fault_links.resize(static_cast<std::size_t>(nfault));
-  for (FaultLinkCheckpoint& l : ck.fault_links) {
-    l.rng = r.u64();
-    l.blackout_left = r.u32();
-  }
   const std::uint64_t nblobs = r.u64();
   if (!r.ok() || nblobs > buf.size()) return false;
   ck.state_blobs.reserve(static_cast<std::size_t>(nblobs));
@@ -338,29 +315,21 @@ std::optional<Checkpoint> CheckpointStore::load_newest_valid(
 
 Checkpoint capture_checkpoint(std::uint64_t round, VirtualTime gvt,
                               std::vector<LpRuntime>& lps,
-                              const std::vector<VirtualTime>& last_promise,
-                              const ChannelStack& net,
-                              const FaultyTransport* faulty) {
-  assert(net.quiescent() && "checkpoints require a drained network");
+                              const std::vector<VirtualTime>& last_promise) {
   Checkpoint ck;
   ck.round = round;
   ck.gvt = gvt;
   ck.lps.reserve(lps.size());
   for (LpRuntime& rt : lps) ck.lps.push_back(rt.make_checkpoint());
   ck.last_promise = last_promise;
-  ck.links = net.capture_links();
-  if (faulty != nullptr) ck.fault_links = faulty->capture_links();
   return ck;
 }
 
 void restore_checkpoint(const Checkpoint& ck, std::vector<LpRuntime>& lps,
-                        std::vector<VirtualTime>& last_promise,
-                        ChannelStack& net, FaultyTransport* faulty) {
+                        std::vector<VirtualTime>& last_promise) {
   assert(ck.lps.size() == lps.size());
   for (std::size_t i = 0; i < lps.size(); ++i) lps[i].restore_from(ck.lps[i]);
   last_promise = ck.last_promise;
-  net.restore_links(ck.links);
-  if (faulty != nullptr) faulty->restore_links(ck.fault_links);
 }
 
 }  // namespace vsim::pdes

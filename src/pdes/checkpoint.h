@@ -3,12 +3,15 @@
 // GVT is the commit frontier the protocol already computes: no event below
 // it is ever rolled back (DESIGN.md §5), so the state at a synchronisation
 // round -- after the network has been drained to quiescence -- is a globally
-// consistent cut.  A checkpoint captures, per LP, the committed-frontier
-// snapshot plus the pending event set, and, per link, the reliable-layer
-// sequence cursors and the fault-injector RNG cursors.  Restoring it and
-// re-running is therefore *deterministic*: the replay regenerates the exact
-// message and fault sequence of the original run, and the committed trace of
-// a crashed-and-recovered run is bit-identical to an uninterrupted one.
+// consistent cut.  A checkpoint holds LP state only: per LP, the
+// committed-frontier snapshot plus the pending event set, and the engine's
+// null-promise cache.  Nothing is in flight at the cut, and recovery throws
+// away whatever the abandoned timeline had in flight, so the transport
+// stack simply resets to fresh cursors (ChannelStack::reset) instead of
+// being restored.  Re-running from the snapshot regenerates the cut's
+// message sequence exactly; the link-fault RNGs run on, and the reliable
+// layer repairs whatever they draw, so the committed trace of a
+// crashed-and-recovered run is bit-identical to an uninterrupted one.
 //
 // Capture uses "rollback-all-deferred" (LpRuntime::rollback_all_deferred):
 // speculative history is undone WITHOUT emitting anti-messages -- every
@@ -39,7 +42,7 @@
 
 #include "common/bytes.h"
 #include "pdes/lp.h"
-#include "pdes/transport.h"
+#include "pdes/config.h"
 
 namespace vsim::pdes {
 
@@ -71,8 +74,6 @@ struct Checkpoint {
   VirtualTime gvt = kTimeZero;
   std::vector<LpCheckpoint> lps;          ///< indexed by LpId
   std::vector<VirtualTime> last_promise;  ///< engine null-promise cache
-  std::vector<LinkCheckpoint> links;      ///< reliable-layer cursors
-  std::vector<FaultLinkCheckpoint> fault_links;  ///< injector RNG cursors
   /// Encoded LpState bytes per LP (LogicalProcess::encode_state), indexed by
   /// LpId when present.  The distributed engine fills these so a spilled
   /// checkpoint is *complete*: a fresh process can revive every LP from the
@@ -117,7 +118,8 @@ struct CheckpointStats {
 /// load_newest_valid().
 class CheckpointStore {
  public:
-  explicit CheckpointStore(std::size_t keep = 2, std::string spill_dir = {});
+  explicit CheckpointStore(std::size_t keep = kCheckpointKeep,
+                           std::string spill_dir = {});
 
   void put(Checkpoint&& ck);
   [[nodiscard]] const Checkpoint* latest() const;
@@ -174,18 +176,16 @@ void encode_lp_checkpoint(bytes::Writer& w, const LpCheckpoint& lp);
 
 /// Builds a checkpoint from engine state.  Preconditions: every LP's
 /// speculative history has been undone (LpRuntime::rollback_all_deferred)
-/// and the transport stack is quiescent (post drain-until-quiet).
-/// `faulty` may be null when no fault decorator is installed.
+/// and the network has been drained to quiescence.
 [[nodiscard]] Checkpoint capture_checkpoint(
     std::uint64_t round, VirtualTime gvt, std::vector<LpRuntime>& lps,
-    const std::vector<VirtualTime>& last_promise, const ChannelStack& net,
-    const FaultyTransport* faulty);
+    const std::vector<VirtualTime>& last_promise);
 
 /// Restores engine state from `ck` (the inverse of capture_checkpoint).
-/// The caller must clear its mailboxes and rebuild its scheduling keys
-/// afterwards; LP statistics are cumulative and deliberately not restored.
+/// The caller must clear its mailboxes, reset its transport stack and
+/// rebuild its scheduling keys afterwards; LP statistics are cumulative and
+/// deliberately not restored.
 void restore_checkpoint(const Checkpoint& ck, std::vector<LpRuntime>& lps,
-                        std::vector<VirtualTime>& last_promise,
-                        ChannelStack& net, FaultyTransport* faulty);
+                        std::vector<VirtualTime>& last_promise);
 
 }  // namespace vsim::pdes

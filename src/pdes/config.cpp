@@ -73,19 +73,6 @@ std::optional<ConfigError> validate(const FaultPlan& plan,
   return std::nullopt;
 }
 
-std::optional<ConfigError> validate(const TransportConfig& transport,
-                                    std::size_t num_workers) {
-  if (auto err = validate(transport.faults, num_workers)) return err;
-  if (transport.reliable) {
-    if (transport.max_retries < 1)
-      return fail("transport.max_retries",
-                  "retry cap must be >= 1 when reliable delivery is on");
-    if (transport.rto <= 0.0)
-      return fail("transport.rto", "retransmit timeout must be > 0");
-  }
-  return std::nullopt;
-}
-
 std::optional<ConfigError> validate_net(const NetConfig& net,
                                         std::size_t num_ranks) {
   if (net.heartbeat_interval_ms < 1)
@@ -94,18 +81,6 @@ std::optional<ConfigError> validate_net(const NetConfig& net,
     return fail("net.heartbeat_timeout_ms",
                 "timeout must exceed the heartbeat interval or every rank "
                 "is instantly dead");
-  if (net.connect_timeout_ms < 1)
-    return fail("net.connect_timeout_ms", "must be >= 1");
-  if (net.reconnect_max_attempts < 1)
-    return fail("net.reconnect_max_attempts",
-                "at least one reconnect attempt is required");
-  if (net.reconnect_base_ms < 1)
-    return fail("net.reconnect_base_ms", "must be >= 1");
-  if (net.reconnect_max_ms < net.reconnect_base_ms)
-    return fail("net.reconnect_max_ms", "must be >= reconnect_base_ms");
-  if (net.max_frame_bytes < 1024)
-    return fail("net.max_frame_bytes",
-                "frames smaller than 1 KiB cannot carry the protocol");
   if (net.tcp && net.base_port == 0)
     return fail("net.base_port", "TCP mode needs an explicit base port");
   for (const NetConfig::Disconnect& d : net.disconnects) {
@@ -154,12 +129,11 @@ std::optional<ConfigError> validate(const RunConfig& config) {
   if (auto err = validate(config.adapt)) return err;
   if (config.deadlock_rounds < 1)
     return fail("deadlock_rounds", "deadlock threshold must be >= 1");
-  if (auto err = validate(config.transport, config.num_workers)) return err;
+  if (auto err = validate(config.transport.faults, config.num_workers))
+    return err;
   if (config.checkpoint.heartbeat_rounds < 1)
     return fail("checkpoint.heartbeat_rounds",
                 "a worker must be allowed to miss at least one round");
-  if (config.checkpoint.keep < 1)
-    return fail("checkpoint.keep", "must retain at least one checkpoint");
   if (config.transport.faults.crash_active() &&
       config.checkpoint.max_recoveries < 1)
     return fail("checkpoint.max_recoveries",
@@ -201,6 +175,10 @@ double time_scale() {
   const double v = std::strtod(env, &end);
   if (end == env || !(v >= 1.0)) return 1.0;
   return v > 100.0 ? 100.0 : v;
+}
+
+std::uint32_t scaled_ms(std::uint32_t ms) {
+  return static_cast<std::uint32_t>(static_cast<double>(ms) * time_scale());
 }
 
 }  // namespace vsim::pdes

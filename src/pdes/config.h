@@ -115,12 +115,14 @@ struct FaultPlan {
   }
 };
 
-/// Transport stack selection: which fault plan the wire is wrapped with and
-/// whether the ReliableChannel layer (sequence numbers, dedup, cumulative
-/// acks, retransmission) restores exactly-once in-order delivery on top.
+/// Transport stack configuration: the fault plan the wire is wrapped with,
+/// and the pacing of the reliable layer (sequence numbers, dedup,
+/// cumulative acks, retransmission).  Whether that layer is composed at all
+/// is not a setting: it follows the wire (Transport::lossless in
+/// transport.h).  Fault-free in-process runs pass straight through; a fault
+/// plan or the distributed engine's socket mesh brings it in.
 struct TransportConfig {
   FaultPlan faults;
-  bool reliable = false;
   /// Retransmission attempts per packet before the run aborts with a
   /// structured TransportError (a link that never delivers is dead).  Sized
   /// against the sync rounds' drain-to-quiescence loop, which force-flushes
@@ -135,6 +137,10 @@ struct TransportConfig {
   double rto = 16.0;
 };
 
+/// Retained snapshots in a CheckpointStore (ring buffer, newest wins), and
+/// commit batches a distributed successor keeps for a promotion re-emit.
+inline constexpr std::size_t kCheckpointKeep = 2;
+
 /// GVT-consistent checkpoint/restart (checkpoint.h).  Checkpointing is also
 /// forced on whenever the fault plan schedules crashes, so a crashed run can
 /// always fall back to at least the initial snapshot.  Recovery retires the
@@ -145,8 +151,6 @@ struct CheckpointConfig {
   /// checkpoints (only the initial pre-run snapshot is kept when crashes
   /// are scheduled).
   std::uint32_t period = 0;
-  /// Retained snapshots in the in-memory store (ring buffer, newest wins).
-  std::size_t keep = 2;
   /// When non-empty, spill the portable section of each checkpoint to
   /// `<spill_dir>/ckpt-<round>.bin` and verify it reads back identically.
   std::string spill_dir;
@@ -168,6 +172,25 @@ struct CheckpointConfig {
   bool resume = false;
 };
 
+// Fixed parameters of the distributed engine's socket layer (src/net), in
+// wall-clock milliseconds unless named otherwise.  The connect window and
+// the backoff cap stretch with $VSIM_TIME_SCALE (scaled_ms below), as the
+// heartbeat timeout does.
+
+/// Window for the initial full-mesh connect (covers listener-bind races at
+/// process startup).
+inline constexpr std::uint32_t kConnectTimeoutMs = 5000;
+/// Consecutive failed redials of one peer before the link is declared dead
+/// for good (surfaces as a structured TransportError when nothing can
+/// recover it).  A successful reconnect resets the counter.
+inline constexpr std::uint32_t kReconnectMaxAttempts = 10;
+/// Exponential-backoff delay between redials:
+/// min(kReconnectBaseMs << attempt, kReconnectMaxMs).
+inline constexpr std::uint32_t kReconnectBaseMs = 2;
+inline constexpr std::uint32_t kReconnectMaxMs = 250;
+/// Upper bound on one wire frame; larger frames are a protocol error.
+inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
 /// Socket layer of the multi-process distributed engine (pdes/distributed.h,
 /// src/net).  All durations are wall-clock milliseconds: unlike the in-
 /// process engines, rank death and link outages are physical phenomena and
@@ -187,19 +210,6 @@ struct NetConfig {
   /// Silence on a rank (no frame of any kind) after which the coordinator
   /// declares it dead and starts recovery.
   std::uint32_t heartbeat_timeout_ms = 1000;
-  /// Window for the initial full-mesh connect (covers listener-bind races
-  /// at process startup).
-  std::uint32_t connect_timeout_ms = 5000;
-  /// Consecutive failed redials of one peer before the link is declared
-  /// dead for good (surfaces as a structured TransportError when nothing
-  /// can recover it).  A successful reconnect resets the counter.
-  std::uint32_t reconnect_max_attempts = 10;
-  /// Exponential-backoff delay between redials: min(base << attempt, max).
-  std::uint32_t reconnect_base_ms = 2;
-  std::uint32_t reconnect_max_ms = 250;
-  /// Upper bound on one wire frame; larger frames are a protocol error.
-  std::uint32_t max_frame_bytes = 64u << 20;
-
   /// Deterministic transient-disconnect injection: after `src` has written
   /// `after_data_frames` data frames to `dst`, the connection is hard-closed
   /// once (with its buffered bytes discarded), forcing a backoff reconnect
@@ -223,8 +233,6 @@ struct ConfigError {
 
 std::optional<ConfigError> validate(const FaultPlan& plan,
                                     std::size_t num_workers);
-std::optional<ConfigError> validate(const TransportConfig& transport,
-                                    std::size_t num_workers);
 struct AdaptPolicy;
 std::optional<ConfigError> validate(const AdaptPolicy& adapt);
 std::optional<ConfigError> validate_net(const NetConfig& net,
@@ -240,6 +248,9 @@ std::optional<ConfigError> validate_distributed(const RunConfig& config);
 /// timeouts, reconnect budgets, and test watchdogs all stretch together
 /// instead of a slow instrumented run being mistaken for a dead rank.
 [[nodiscard]] double time_scale();
+/// `ms` stretched by time_scale(): the wall-clock budgets of the socket
+/// layer (heartbeat timeout, connect window, reconnect backoff cap).
+[[nodiscard]] std::uint32_t scaled_ms(std::uint32_t ms);
 
 /// Parameters of the self-adaptation policy (evaluated per LP at GVT rounds
 /// by the AdaptController in adaptive.h).  Decisions are driven by

@@ -32,9 +32,6 @@ constexpr std::uint32_t kIdleSpinRound = 16;
 /// an unflushed link just makes the pass vote non-quiescent and the
 /// coordinator issues another pass.
 constexpr std::int64_t kDrainFlushBudgetMs = 50;
-/// Checkpoint rounds of fault-injector cursors each rank keeps locally.
-/// The baseline round is always retained as the rewind of last resort.
-constexpr std::size_t kFaultRingKeep = 32;
 /// Epoch layout: (term << kEpochSeqBits) | seq.  Ordinary recoveries bump
 /// the sequence; a coordinator promotion bumps the term past every epoch
 /// the promoting rank has seen, fencing stale control traffic for good.
@@ -203,7 +200,6 @@ void encode_run_stats(bytes::Writer& w, const RunStats& st,
   w.u8(st.deadlock_report ? 1 : 0);
   if (st.deadlock_report) {
     w.vt(st.deadlock_report->gvt);
-    w.u8(st.deadlock_report->transport_starvation ? 1 : 0);
     encode_diag(w, st.deadlock_report->blocked);
   }
   w.u64(st.checkpoint.checkpoints);
@@ -251,7 +247,6 @@ bool decode_run_stats(bytes::Reader& r, RunStats* st, Partition* part) {
   if (r.u8() != 0) {
     DeadlockReport report;
     report.gvt = r.vt();
-    report.transport_starvation = r.u8() != 0;
     decode_diag(r, &report.blocked);
     st->deadlock_report = std::move(report);
   }
@@ -326,20 +321,10 @@ DistributedEngine::DistributedEngine(LpGraph& graph, Partition partition,
   // covers them (or at termination), so neither a recovery that rewinds
   // the cluster nor a coordinator failover can double-report one.
   buffer_commits_ = true;
-  // The real wire loses and replays frames across reconnects; only the
-  // reliable channel layer can hand the engine an exactly-once stream.
-  config_.transport.reliable = true;
   // Sanitizer / loaded-CI legs stretch every wall-clock liveness budget
-  // uniformly (VSIM_TIME_SCALE) so slow execution is not mistaken for death.
-  const double ts = time_scale();
-  if (ts > 1.0) {
-    const auto scale = [ts](std::uint32_t v) {
-      return static_cast<std::uint32_t>(static_cast<double>(v) * ts);
-    };
-    config_.net.heartbeat_timeout_ms = scale(config_.net.heartbeat_timeout_ms);
-    config_.net.connect_timeout_ms = scale(config_.net.connect_timeout_ms);
-    config_.net.reconnect_max_ms = scale(config_.net.reconnect_max_ms);
-  }
+  // uniformly (VSIM_TIME_SCALE) so slow execution is not mistaken for death;
+  // the socket node stretches its connect and backoff constants likewise.
+  config_.net.heartbeat_timeout_ms = scaled_ms(config_.net.heartbeat_timeout_ms);
   // A stream loses an unacked frame only when its connection breaks, and
   // heartbeats notice a break within heartbeat_timeout_ms.  Resending any
   // sooner only duplicates the frames of a rank that is merely slow (a
@@ -459,14 +444,13 @@ void DistributedEngine::setup_stack_or_die() {
   // Wait for the full outbound mesh before any protocol traffic: forcing
   // data into half-connected links would burn the reliable layer's retry
   // budget on a startup race instead of a real outage.
-  const std::int64_t deadline = net::now_ms() + cfg_connect_deadline();
+  const std::int64_t connect_ms = scaled_ms(kConnectTimeoutMs);
+  const std::int64_t deadline = net::now_ms() + connect_ms;
   while (!node_->all_links_up() && net::now_ms() < deadline) node_->pump(1);
   if (!node_->all_links_up()) {
     if (rank_ != 0) _exit(5);
-    config_error_ =
-        ConfigError{"net", "initial mesh connect timed out (" +
-                               std::to_string(config_.net.connect_timeout_ms) +
-                               " ms)"};
+    config_error_ = ConfigError{"net", "initial mesh connect timed out (" +
+                                           std::to_string(connect_ms) + " ms)"};
     return;
   }
 
@@ -481,7 +465,7 @@ void DistributedEngine::setup_stack_or_die() {
     broadcast(net::FrameType::kResume, {});
     return;
   }
-  const std::int64_t go_deadline = net::now_ms() + cfg_connect_deadline();
+  const std::int64_t go_deadline = net::now_ms() + connect_ms;
   for (;;) {
     bool go = false;
     for (auto it = ctrl_.begin(); it != ctrl_.end(); ++it) {
@@ -495,10 +479,6 @@ void DistributedEngine::setup_stack_or_die() {
     if (net::now_ms() >= go_deadline) _exit(5);
     node_->pump(1);
   }
-}
-
-std::int64_t DistributedEngine::cfg_connect_deadline() const {
-  return static_cast<std::int64_t>(config_.net.connect_timeout_ms);
 }
 
 void DistributedEngine::on_frame(std::uint32_t src, const net::FrameView& v) {
@@ -532,31 +512,12 @@ std::size_t DistributedEngine::pump_io(int timeout_ms) {
   return n;
 }
 
-void DistributedEngine::capture_fault_ring(std::uint64_t round) {
-  if (!faulty_) return;
-  fault_ring_[round] = faulty_->capture_links();
-  while (fault_ring_.size() > kFaultRingKeep) {
-    // Trim oldest, but never the baseline: the rewind of last resort.
-    auto it = fault_ring_.begin();
-    if (it->first == baseline_round_) ++it;
-    if (it == fault_ring_.end()) break;
-    fault_ring_.erase(it);
-  }
-}
-
 void DistributedEngine::apply_restore(const Checkpoint& ck) {
-  for (LpId id = 0; id < lps_.size(); ++id) lps_[id].restore_from(ck.lps[id]);
-  last_promise_ = ck.last_promise;
+  restore_checkpoint(ck, lps_, last_promise_);
   // The channel layer resets outright -- fresh cursors, nothing in flight.
   // Epoch filtering in the socket node keeps the abandoned timeline's data
   // frames from ever reaching the reset stack.
-  std::vector<LinkCheckpoint> fresh(
-      static_cast<std::size_t>(nranks_) * nranks_);
-  net_->restore_links(fresh);
-  if (faulty_) {
-    const auto it = fault_ring_.find(ck.round);
-    if (it != fault_ring_.end()) faulty_->restore_links(it->second);
-  }
+  net_->reset();
   for (auto& buf : commit_buf_) buf.clear();
   // Everything belonging to rounds past the restore point is from the
   // abandoned timeline: partial assemblies, retained commit batches, and
@@ -680,20 +641,10 @@ RunStats DistributedEngine::run() {
 
   if (ft_on_) {
     // Baseline checkpoint, taken before the fork: every rank inherits the
-    // fault-ring entry and the store copy, so recovery always has a line to
-    // rewind to even when the first kill precedes the first periodic
-    // checkpoint.  A throwaway stack stands in for the per-rank ones (a
-    // fresh ChannelStack and FaultyTransport have exactly the cursors every
-    // rank starts from after the fork); it is dropped again right below.
-    struct NullWire final : Transport {
-      void submit(Packet&&, double) override {}
-    } null_wire;
-    assemble_transport(null_wire, nranks_);
-    Checkpoint ck0 = capture_checkpoint(resume_round, safe_bound_, lps_,
-                                        last_promise_, *net_, faulty_.get());
-    if (faulty_) fault_ring_[resume_round] = faulty_->capture_links();
-    net_.reset();
-    faulty_.reset();
+    // store copy, so recovery always has a line to rewind to even when the
+    // first kill precedes the first periodic checkpoint.
+    Checkpoint ck0 =
+        capture_checkpoint(resume_round, safe_bound_, lps_, last_promise_);
     // Probe the byte codecs up front: recovery must be able to ship every
     // LP's state across a process boundary, and failing at the first kill
     // would be a far worse place to find out.  The probe output doubles as
@@ -714,7 +665,6 @@ RunStats DistributedEngine::run() {
       }
       ck0.state_blobs[id] = std::move(tmp);
     }
-    baseline_round_ = resume_round;
     gvt_rounds_ = max_round_seen_ = resume_round;
     gate_.rewind(safe_bound_);
     store_.put(std::move(ck0));
@@ -1163,9 +1113,6 @@ void DistributedEngine::rank_apply_recover(const ControlMsg& m) {
   // true across the recovery for new members of the successor set.
   if (ft_on_ && is_successor(rank_) &&
       !(store_.latest() != nullptr && store_.latest()->round == ck.round)) {
-    ck.links.assign(static_cast<std::size_t>(nranks_) * nranks_,
-                    LinkCheckpoint{});
-    ck.fault_links.clear();
     store_.put(std::move(ck));
     ++ckstats_.checkpoints;
   }
@@ -1502,7 +1449,6 @@ void DistributedEngine::ckpt_capture_and_ship(std::uint64_t round,
   undo_speculation(owned_, gvt, router, [&](LpId lp) {
     self_.ready.update(lp, lps_[lp].next_ts());
   });
-  capture_fault_ring(round);
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
   w.u64(round);
@@ -1601,12 +1547,6 @@ void DistributedEngine::ckpt_complete(std::uint64_t round) {
   if (it == pending_ck_.end()) return;
   CkptAssembly as = std::move(it->second);
   pending_ck_.erase(it);
-  // The channel/fault cursor sections of a distributed checkpoint are
-  // fresh-stack placeholders: recovery resets the reliable layer outright
-  // and each rank rewinds its own fault ring locally.
-  as.ck.links.assign(static_cast<std::size_t>(nranks_) * nranks_,
-                     LinkCheckpoint{});
-  as.ck.fault_links.clear();
   if (rank_ == coord_) {
     // Commits covered by this snapshot park until every OTHER live
     // successor holds it too: released output must survive our own death.
@@ -1620,7 +1560,7 @@ void DistributedEngine::ckpt_complete(std::uint64_t round) {
     // promotion re-emit, and ack so the coordinator can release.
     if (hook_) {
       retained_batches_[round] = std::move(as.commits);
-      while (retained_batches_.size() > config_.checkpoint.keep)
+      while (retained_batches_.size() > kCheckpointKeep)
         retained_batches_.erase(retained_batches_.begin());
     }
     store_.put(std::move(as.ck));
@@ -1707,10 +1647,11 @@ bool DistributedEngine::coordinator_recover() {
       return fail(first_dead,
                   "rank died without fault tolerance (no checkpoint "
                   "period and no crash schedule)");
-    if (recoveries_ >= config_.checkpoint.max_recoveries)
-      return fail(first_dead, "recovery budget exhausted (max_recoveries)");
-    const Checkpoint* ck = store_.latest();
-    if (ck == nullptr) return fail(first_dead, "no checkpoint available");
+    const Checkpoint* ck = recovery_point(first_dead);
+    if (ck == nullptr) {
+      abort_run();
+      return false;
+    }
     const std::uint64_t ck_round = ck->round;
     ++recoveries_;
     ++ckstats_.recoveries;
@@ -1802,6 +1743,10 @@ bool DistributedEngine::coordinator_recover() {
 
 void DistributedEngine::fail_run(std::uint32_t worker, std::string message) {
   fail_recovery(worker, std::move(message));
+  abort_run();
+}
+
+void DistributedEngine::abort_run() {
   stopping_ = true;
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);

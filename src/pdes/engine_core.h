@@ -183,7 +183,8 @@ class EngineCore {
 
   // ---- scaffolding ----
 
-  /// wire -> [FaultyTransport] -> ChannelStack over `endpoints` endpoints.
+  /// wire -> [FaultyTransport] -> ChannelStack over `endpoints` endpoints;
+  /// the stack is reliable exactly when what sits below it is not lossless.
   void assemble_transport(Transport& wire, std::size_t endpoints);
   /// Attaches RunConfig::trace, or a $VSIM_TRACE session named `name`.
   void open_trace(const char* name);
@@ -276,8 +277,9 @@ class EngineCore {
   /// rebalancer's load- and cut-aware placement.  False (after a recorded
   /// RecoveryError) when no worker survives.
   bool redistribute(const std::vector<double>& work, std::uint32_t first_dead);
-  /// In-process restore: LPs, channels, null-promise cache; rewinds the
-  /// gate and drops the commits of the abandoned timeline.
+  /// In-process restore: LPs and null-promise cache from `ck`, a fresh
+  /// transport stack; rewinds the gate and drops the commits of the
+  /// abandoned timeline.
   void restore(const Checkpoint& ck);
 
   // ---- epilogue ----
@@ -286,9 +288,7 @@ class EngineCore {
   /// has pending work.
   [[nodiscard]] DeadlockReport deadlock_report(
       VirtualTime gvt, std::optional<std::uint32_t> owner = {}) const;
-  /// Everything but per_worker, makespan and metrics; the transport error
-  /// is the channel's own, or a synthesized one for a lossy run that
-  /// dropped packets without reliable delivery.
+  /// Everything but per_worker, makespan and metrics.
   void fill_run_stats(RunStats& out) const;
   /// Folds the run totals into the metrics and snapshots them.
   void finish_metrics(RunStats& out);

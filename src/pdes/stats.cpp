@@ -6,8 +6,7 @@ namespace vsim::pdes {
 
 std::string DeadlockReport::str() const {
   std::ostringstream os;
-  os << (transport_starvation ? "transport starvation" : "protocol deadlock")
-     << " at gvt=" << gvt.str() << "; " << blocked.size()
+  os << "protocol deadlock at gvt=" << gvt.str() << "; " << blocked.size()
      << " LP(s) with pending work";
   std::size_t shown = 0;
   for (const LpDiag& d : blocked) {

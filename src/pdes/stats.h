@@ -105,13 +105,10 @@ struct WorkerStats {
   std::uint64_t null_messages = 0;
 };
 
-/// Why a run aborted without finishing, and who was stuck.  Replaces the
-/// old bare `deadlocked` flag with actionable per-LP diagnostics, and
-/// distinguishes a genuine protocol deadlock from transport starvation
-/// (messages lost by a lossy transport without reliable delivery).
+/// Why a run aborted without finishing, and who was stuck: actionable
+/// per-LP diagnostics behind the bare `deadlocked` flag.
 struct DeadlockReport {
   VirtualTime gvt;  ///< the bound the run could not advance past
-  bool transport_starvation = false;
   struct LpDiag {
     LpId id = kInvalidLp;
     VirtualTime next_ts;            ///< minimal pending timestamp
@@ -131,8 +128,7 @@ struct RunStats {
   bool deadlocked = false;
   double makespan = 0.0;  ///< machine model: max worker clock at termination
   TransportCounters transport;
-  /// Set when the reliable layer gave up on a link, or when a lossy run
-  /// finished without reliable delivery (results cannot be trusted).
+  /// Set when the reliable layer gave up on a link.
   std::optional<TransportError> transport_error;
   /// Populated whenever `deadlocked` is set.
   std::optional<DeadlockReport> deadlock_report;

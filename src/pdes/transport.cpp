@@ -23,13 +23,8 @@ TransportCounters& TransportCounters::operator+=(const TransportCounters& o) {
 
 std::string TransportError::str() const {
   std::ostringstream os;
-  os << "transport error";
-  // attempts == 0 marks a synthetic error (e.g. an unreliable lossy run)
-  // with no specific link to blame.
-  if (attempts > 0)
-    os << " on link " << src_worker << "->" << dst_worker << " (seq " << seq
-       << ", " << attempts << " attempts)";
-  os << ": " << message;
+  os << "transport error on link " << src_worker << "->" << dst_worker
+     << " (seq " << seq << ", " << attempts << " attempts): " << message;
   return os.str();
 }
 
@@ -113,29 +108,18 @@ TransportCounters FaultyTransport::counters() const {
   return out;
 }
 
-std::vector<FaultLinkCheckpoint> FaultyTransport::capture_links() const {
-  std::vector<FaultLinkCheckpoint> out(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    out[i].rng = links_[i].rng;
-    out[i].blackout_left = links_[i].blackout_left;
-  }
-  return out;
-}
-
-void FaultyTransport::restore_links(
-    const std::vector<FaultLinkCheckpoint>& saved) {
-  for (std::size_t i = 0; i < links_.size() && i < saved.size(); ++i) {
-    links_[i].rng = saved[i].rng;
-    links_[i].blackout_left = saved[i].blackout_left;
-    links_[i].held.clear();
-  }
+void FaultyTransport::reset() {
+  for (Link& l : links_) l.held.clear();
 }
 
 // ---- ChannelStack ----
 
 ChannelStack::ChannelStack(Transport& wire, std::size_t num_workers,
                            const TransportConfig& config)
-    : wire_(wire), num_workers_(num_workers), config_(config) {
+    : wire_(wire),
+      num_workers_(num_workers),
+      config_(config),
+      reliable_(!wire.lossless()) {
   send_links_.resize(num_workers * num_workers);
   recv_links_.resize(num_workers * num_workers);
   ack_due_.assign(num_workers * num_workers, 0);
@@ -150,7 +134,7 @@ void ChannelStack::send(std::uint32_t from, std::uint32_t to, Event&& ev,
   pkt.src = from;
   pkt.dst = to;
   pkt.ev = std::move(ev);
-  if (config_.reliable) {
+  if (reliable_) {
     pkt.seq = sl.next_seq++;
     InFlight f;
     f.pkt = pkt;  // keep a copy for retransmission
@@ -181,7 +165,7 @@ void ChannelStack::on_wire_delivery(Packet&& pkt, double now) {
       sl.in_flight.pop_front();
     return;
   }
-  if (!config_.reliable) {
+  if (!reliable_) {
     ++recv_link(pkt.src, pkt.dst).counters.delivered;
     if (deliver_) deliver_(pkt.dst, std::move(pkt.ev));
     return;
@@ -264,10 +248,10 @@ std::size_t ChannelStack::retransmit_due(std::uint32_t worker, double now,
 }
 
 std::size_t ChannelStack::poll(std::uint32_t worker, double now) {
-  // Unreliable datagrams are never retransmitted: skip the per-link
-  // in-flight scan entirely (poll runs once per scheduler iteration, so
-  // this is on the engines' hot path).
-  if (!config_.reliable) return 0;
+  // A lossless wire keeps nothing in flight: skip the per-link scan
+  // entirely (poll runs once per scheduler iteration, so this is on the
+  // engines' hot path).
+  if (!reliable_) return 0;
   if (has_error_.load(std::memory_order_acquire)) return 0;
   return retransmit_due(worker, now, /*force=*/false);
 }
@@ -301,25 +285,17 @@ std::optional<TransportError> ChannelStack::error() const {
   return error_;
 }
 
-std::vector<LinkCheckpoint> ChannelStack::capture_links() const {
-  std::vector<LinkCheckpoint> out(send_links_.size());
-  for (std::size_t i = 0; i < send_links_.size(); ++i) {
-    out[i].next_seq = send_links_[i].next_seq;
-    out[i].expected = recv_links_[i].expected;
+void ChannelStack::reset() {
+  for (SendLink& sl : send_links_) {
+    sl.next_seq = 1;
+    sl.in_flight.clear();
   }
-  return out;
-}
-
-void ChannelStack::restore_links(const std::vector<LinkCheckpoint>& saved) {
-  for (std::size_t i = 0; i < send_links_.size() && i < saved.size(); ++i) {
-    send_links_[i].next_seq = saved[i].next_seq;
-    send_links_[i].in_flight.clear();
-    recv_links_[i].expected = saved[i].expected;
-    recv_links_[i].reorder.clear();
+  for (RecvLink& rl : recv_links_) {
+    rl.expected = 1;
+    rl.reorder.clear();
   }
-  // Acks owed for the abandoned timeline's traffic must not leak into the
-  // restored one.
   std::fill(ack_due_.begin(), ack_due_.end(), 0);
+  if (faulty_ != nullptr) faulty_->reset();
 }
 
 void ChannelStack::set_error(TransportError err) {

@@ -6,16 +6,22 @@
 //
 //   ChannelStack (session layer: per-link sequence numbers, receiver-side
 //        |        dedup, cumulative acks, retransmission with exponential
-//        |        backoff -- or a counted pass-through when reliability is
-//        |        disabled)
+//        |        backoff -- composed only over a wire that is not
+//        |        lossless; over a lossless one, a counted pass-through)
 //        v
 //   FaultyTransport (optional decorator: deterministic seeded drop /
 //        |           duplicate / reorder / latency-jitter / blackout
 //        |           injection per link)
 //        v
 //   engine wire (Transport implementation supplied by the engine: the
-//                machine engine's latency-stamped virtual mailboxes or the
-//                threaded engine's mutex-protected queues)
+//                machine engine's latency-stamped virtual mailboxes, the
+//                threaded engine's batch mailboxes, or the distributed
+//                engine's socket mesh)
+//
+// Reliability is a property of the wire, not a setting: the stack asks the
+// Transport directly below it whether it is lossless().  The in-process
+// wires are; a FaultyTransport is not, and neither is the socket mesh (a
+// reconnect can drop or replay the frame that straddled the break).
 //
 // Threading contract (threaded engine): all sender-side state of a link
 // src->dst (sequence counter, in-flight list, fault RNG, holdback queue)
@@ -33,6 +39,12 @@
 // all: after the GVT round that moved an LP, traffic to it simply flows
 // down the links of its new owner, with every link's sequence/ack/RNG
 // cursors untouched.
+//
+// Transport state is never checkpointed.  Every engine discards all
+// in-flight traffic on recovery, so recovery reset()s the stack to fresh
+// sequence cursors; the fault RNGs run on (a flaky link does not rewind
+// with the simulation), and the reliable layer repairs whatever faults the
+// replay draws.
 #pragma once
 
 #include <atomic>
@@ -69,22 +81,6 @@ inline double xorshift_uniform(std::uint64_t& rng) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
 
-/// Per-link reliable-layer cursors saved in a checkpoint.  In-flight and
-/// reorder buffers are NOT saved: checkpoints are only taken when the stack
-/// is quiescent (post drain-until-quiet), so both are provably empty.
-struct LinkCheckpoint {
-  std::uint64_t next_seq = 1;
-  std::uint64_t expected = 1;
-};
-
-/// Per-link fault-injector cursors saved in a checkpoint: restoring them
-/// makes the post-recovery fault sequence identical to the original run's,
-/// which is what makes replay deterministic under chaos plans.
-struct FaultLinkCheckpoint {
-  std::uint64_t rng = 1;
-  std::uint32_t blackout_left = 0;
-};
-
 /// What actually happened on the wire during a run.  A chaos run must show
 /// nonzero drops/retransmits here, otherwise the fault plan never bit.
 ///
@@ -106,8 +102,7 @@ struct TransportCounters {
 };
 
 /// Structured failure surfaced when the reliable layer gives up on a link
-/// (retry cap exceeded) or when a lossy run finished without reliability
-/// enabled (results cannot be trusted).
+/// (retry cap exceeded).
 struct TransportError {
   std::uint32_t src_worker = 0;
   std::uint32_t dst_worker = 0;
@@ -120,7 +115,7 @@ struct TransportError {
 
 /// The unit the wire moves: an Event wrapped with link addressing.  `seq`
 /// is the reliable layer's per-link sequence number for data packets and
-/// the cumulative acknowledgement for ack packets; 0 when unreliable.
+/// the cumulative acknowledgement for ack packets; 0 over a lossless wire.
 struct Packet {
   enum class Kind : std::uint8_t { kData, kAck };
   Kind kind = Kind::kData;
@@ -150,6 +145,11 @@ class Transport {
     (void)now;
     return 0;
   }
+
+  /// True when every submitted packet arrives exactly once and in order
+  /// per link.  The ChannelStack above composes seq/ack/retransmit exactly
+  /// when this is false.
+  [[nodiscard]] virtual bool lossless() const { return true; }
 };
 
 /// Deterministic fault-injection decorator.  Each link (src worker, dst
@@ -162,16 +162,15 @@ class FaultyTransport final : public Transport {
 
   void submit(Packet&& pkt, double now) override;
   std::size_t release_held(std::uint32_t worker, double now) override;
+  [[nodiscard]] bool lossless() const override { return false; }
 
   /// Packets currently parked for reordering, across all links.
   [[nodiscard]] std::size_t held_count() const;
   [[nodiscard]] TransportCounters counters() const;
 
-  /// Snapshot / restore of the per-link RNG + blackout cursors, in link
-  /// index order.  restore_links drops any parked packets (a checkpoint is
-  /// only restored into a quiescent network).
-  [[nodiscard]] std::vector<FaultLinkCheckpoint> capture_links() const;
-  void restore_links(const std::vector<FaultLinkCheckpoint>& saved);
+  /// Recovery: drops every parked packet (it belongs to the abandoned
+  /// timeline).  The RNG and blackout cursors run on.
+  void reset();
 
  private:
   struct Link {
@@ -195,10 +194,9 @@ class FaultyTransport final : public Transport {
   std::vector<Link> links_;
 };
 
-/// Session layer the engines talk to.  With `reliable` set it restores
-/// exactly-once in-order delivery per link over any lossy Transport; with
-/// it clear, datagrams pass straight through (faults reach the protocol
-/// layer, which is exactly what the chaos tests want to observe).
+/// Session layer the engines talk to.  Over a wire that is not lossless()
+/// it restores exactly-once in-order delivery per link; over a lossless
+/// wire, packets pass straight through and are only counted.
 class ChannelStack {
  public:
   /// Delivers an application event to the LP layer of worker `worker`.
@@ -247,8 +245,6 @@ class ChannelStack {
   /// (meaningful only after drain passes, i.e. inside a barrier).
   [[nodiscard]] bool quiescent() const;
 
-  [[nodiscard]] bool reliable() const { return config_.reliable; }
-
   /// Aggregated over all links; call after workers joined / in a barrier.
   [[nodiscard]] TransportCounters counters() const;
 
@@ -256,16 +252,11 @@ class ChannelStack {
   /// no-ops so the engines can unwind without livelocking.
   [[nodiscard]] std::optional<TransportError> error() const;
 
-  /// Records the post-hoc "lossy run without reliability" error; used by
-  /// engines at termination so silent corruption is impossible.
-  void set_error(TransportError err);
-
-  /// Snapshot / restore of the per-link sequence cursors, in link index
-  /// order.  Capture asserts quiescence; restore clears in-flight and
-  /// reorder buffers (anything still buffered belongs to the timeline being
-  /// abandoned) but deliberately keeps a previously recorded error latched.
-  [[nodiscard]] std::vector<LinkCheckpoint> capture_links() const;
-  void restore_links(const std::vector<LinkCheckpoint>& saved);
+  /// Recovery: back to fresh per-link cursors with nothing in flight,
+  /// buffered or owed an ack, and the attached FaultyTransport's parked
+  /// packets dropped -- everything still in the stack belongs to the
+  /// timeline being abandoned.  Counters and a latched error survive.
+  void reset();
 
  private:
   struct InFlight {
@@ -294,10 +285,12 @@ class ChannelStack {
   void emit_ack(std::uint32_t from, std::uint32_t to, std::uint64_t cum,
                 double now);
   std::size_t retransmit_due(std::uint32_t worker, double now, bool force);
+  void set_error(TransportError err);
 
   Transport& wire_;
   std::size_t num_workers_;
   TransportConfig config_;
+  bool reliable_;  ///< !wire_.lossless(): seq/ack/retransmit composed
   DeliverFn deliver_;
   TransmitHook transmit_;
   std::vector<SendLink> send_links_;
@@ -314,8 +307,9 @@ class ChannelStack {
   FaultyTransport* faulty_ = nullptr;  ///< set when the wire is the decorator
 
  public:
-  /// Lets the stack pull fault counters into counters() when the wire
-  /// below is a FaultyTransport owned by the engine.
+  /// Lets the stack see the FaultyTransport the engine stacked below it:
+  /// its counters join counters(), its holdbacks count against
+  /// quiescent(), and reset() drops them.
   void attach_faulty(FaultyTransport* f) { faulty_ = f; }
 };
 

@@ -2,9 +2,10 @@
 // on a faulty wire (drops, duplicates, reordering, latency jitter, link
 // blackouts) every synchronisation configuration under both ordering modes
 // must still commit exactly the sequential oracle's traces -- the transport
-// faults may cost time but never correctness.  Conversely, running a lossy
-// wire *without* the reliable channel must terminate with a structured
-// TransportError (or a deadlock report), never hang or silently corrupt.
+// faults may cost time but never correctness.  The reliable channel is
+// composed exactly when the wire below is not lossless: a fault-free run
+// passes straight through, and a dead link must still terminate with a
+// structured TransportError, never hang or silently corrupt.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -163,7 +164,6 @@ TEST_P(ChaosEquivalence, ReliableChannelMatchesOracle) {
     rc.until = tc.until;
     rc.gvt_interval = 24;
     rc.transport.faults = chaos_plan(seed++);
-    rc.transport.reliable = true;
     const auto part = partition::round_robin(par.graph->size(),
                                              rc.num_workers);
     MachineEngine eng(*par.graph, part, rc);
@@ -245,7 +245,6 @@ TEST(ChaosFuzz, RandomPlansMatchOracle) {
                            : OrderingMode::kArbitrary;
     rc.until = until;
     rc.gvt_interval = 16 + (seed % 3) * 16;
-    rc.transport.reliable = true;
     FaultPlan& fp = rc.transport.faults;
     fp.seed = seed * 104729;
     fp.drop = 0.02 * static_cast<double>(seed % 10);       // 0 .. 0.18
@@ -282,7 +281,6 @@ TEST(ChaosThreaded, ReliableChannelMatchesOracle) {
     rc.until = tc.until;
     rc.transport.faults = chaos_plan(77);
     rc.transport.faults.jitter = 0.0;  // no latency model on this wire
-    rc.transport.reliable = true;
     ThreadedEngine eng(
         *par.graph,
         partition::round_robin(par.graph->size(), rc.num_workers), rc);
@@ -297,37 +295,30 @@ TEST(ChaosThreaded, ReliableChannelMatchesOracle) {
   }
 }
 
-// Faults without the reliable channel: the run must terminate and say so.
-// Dropped packets with no retransmission can never be trusted, so the
-// engine surfaces a structured TransportError (and, if the loss starves
-// the protocol into a stall, a deadlock report flagged as transport
-// starvation rather than protocol deadlock).
-TEST(ChaosUnreliable, LossyRunTerminatesWithStructuredError) {
-  testutil::Watchdog wd("ChaosUnreliable.LossyRunTerminatesWithStructuredError",
-                       std::chrono::seconds(120));
+// Reliability follows the wire: a fault-free machine run has a lossless
+// wire below its channel stack, so no seq/ack/retransmit is composed --
+// not one ack or retransmission -- and the trace still matches the oracle.
+TEST(ChaosDerivation, FaultFreeRunComposesNoReliableLayer) {
+  Built ref = build_fsm();
+  SequentialEngine seq(*ref.graph);
+  seq.set_commit_hook(ref.recorder->hook());
+  seq.run(250);
+
   Built par = build_fsm();
   RunConfig rc;
   rc.num_workers = 4;
-  rc.configuration = Configuration::kAllOptimistic;
+  rc.configuration = Configuration::kDynamic;
   rc.until = 250;
-  rc.deadlock_rounds = 4;
-  rc.transport.faults = chaos_plan(3);
-  rc.transport.reliable = false;  // raw lossy wire
   MachineEngine eng(*par.graph,
                     partition::round_robin(par.graph->size(), rc.num_workers),
                     rc);
   eng.set_commit_hook(par.recorder->hook());
-  const RunStats st = eng.run();  // must not hang
-  ASSERT_TRUE(st.transport_error.has_value() || st.deadlock_report);
-  if (st.transport_error) {
-    EXPECT_FALSE(st.transport_error->message.empty());
-    EXPECT_NE(st.transport_error->str().find("drop"), std::string::npos);
-  }
-  if (st.deadlock_report) {
-    EXPECT_TRUE(st.deadlock_report->transport_starvation);
-    EXPECT_FALSE(st.deadlock_report->str().empty());
-  }
-  EXPECT_GT(st.transport.dropped, 0u);
+  const RunStats st = eng.run();
+  EXPECT_FALSE(st.transport_error.has_value());
+  EXPECT_EQ(TraceRecorder::diff(*ref.recorder, *par.recorder), "");
+  EXPECT_GT(st.transport.data_sent, 0u);
+  EXPECT_EQ(st.transport.delivered, st.transport.data_sent);
+  EXPECT_EQ(st.transport.acks_sent, 0u);
   EXPECT_EQ(st.transport.retransmits, 0u);
 }
 
@@ -344,7 +335,6 @@ TEST(ChaosUnreliable, DeadLinkExhaustsRetriesWithStructuredError) {
   rc.until = 600;
   rc.transport.faults.seed = 11;
   rc.transport.faults.drop = 1.0;
-  rc.transport.reliable = true;
   rc.transport.max_retries = 5;
   rc.transport.rto = 4.0;
   MachineEngine eng(*par.graph,
@@ -370,7 +360,6 @@ TEST(ChaosUnreliable, ThreadedDeadLinkSurfacesError) {
   rc.until = 600;
   rc.transport.faults.seed = 13;
   rc.transport.faults.drop = 1.0;
-  rc.transport.reliable = true;
   rc.transport.max_retries = 5;
   rc.transport.rto = 8.0;
   ThreadedEngine eng(*par.graph,
@@ -387,7 +376,82 @@ TEST(ChaosUnreliable, ThreadedDeadLinkSurfacesError) {
 struct BlackholeWire final : pdes::Transport {
   std::uint64_t swallowed = 0;
   void submit(pdes::Packet&&, double) override { ++swallowed; }
+  [[nodiscard]] bool lossless() const override { return false; }
 };
+
+// A lossy wire that records every packet it is handed, so a test can
+// deliver them by hand in any order.
+struct CaptureWire final : pdes::Transport {
+  std::vector<pdes::Packet> sent;
+  void submit(pdes::Packet&& pkt, double) override {
+    sent.push_back(std::move(pkt));
+  }
+  [[nodiscard]] bool lossless() const override { return false; }
+};
+
+pdes::Packet data_packet(std::uint32_t src, std::uint32_t dst,
+                         std::uint64_t seq, pdes::EventUid uid) {
+  pdes::Packet pkt;
+  pkt.src = src;
+  pkt.dst = dst;
+  pkt.seq = seq;
+  pkt.ev.ts = VirtualTime{static_cast<PhysTime>(uid), 0};
+  pkt.ev.uid = uid;
+  return pkt;
+}
+
+// Recovery resets the channel instead of restoring it: with packets in
+// flight, successors buffered out of order, an ack owed and a packet parked
+// in the fault decorator, reset() leaves the stack quiescent, and the next
+// packet on each link is sequence 1 again and is delivered in order.
+TEST(ChannelStackReset, ResetLeavesQuiescentFreshLinks) {
+  CaptureWire wire;
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.reorder = 1.0;  // every submission parks in the decorator
+  pdes::FaultyTransport faulty(wire, /*num_workers=*/2, plan);
+  pdes::TransportConfig tc;
+  pdes::ChannelStack stack(faulty, /*num_workers=*/2, tc);
+  stack.attach_faulty(&faulty);
+  std::vector<std::pair<std::uint32_t, pdes::EventUid>> got;
+  stack.set_deliver([&](std::uint32_t worker, pdes::Event&& ev) {
+    got.emplace_back(worker, ev.uid);
+  });
+
+  for (pdes::EventUid uid = 1; uid <= 3; ++uid) {
+    pdes::Packet p = data_packet(0, 1, 0, uid);
+    stack.send(0, 1, std::move(p.ev), 0.0);
+  }
+  stack.on_wire_delivery(data_packet(1, 0, 3, 13), 0.0);
+  stack.on_wire_delivery(data_packet(1, 0, 2, 12), 0.0);
+  ASSERT_TRUE(got.empty());  // seq 1 of link 1->0 never arrived
+  ASSERT_EQ(stack.counters().buffered, 2u);
+  ASSERT_EQ(faulty.held_count(), 3u);
+  ASSERT_FALSE(stack.quiescent());
+
+  stack.reset();
+  EXPECT_TRUE(stack.quiescent());
+  EXPECT_EQ(faulty.held_count(), 0u);
+  EXPECT_EQ(stack.flush_acks(0, 0.0), 0u);  // the owed ack is forgotten
+  EXPECT_TRUE(wire.sent.empty());
+
+  // Link 1->0: its first packet after the reset is delivered at once, and
+  // the stale buffered successors stay gone.
+  stack.on_wire_delivery(data_packet(1, 0, 1, 21), 0.0);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], std::make_pair(0u, pdes::EventUid{21}));
+
+  // Link 0->1: the next send is numbered 1 again and is delivered in order.
+  pdes::Packet p = data_packet(0, 1, 0, 31);
+  stack.send(0, 1, std::move(p.ev), 0.0);
+  EXPECT_EQ(faulty.release_held(0, 0.0), 1u);
+  ASSERT_EQ(wire.sent.size(), 1u);
+  EXPECT_EQ(wire.sent[0].seq, 1u);
+  stack.on_wire_delivery(std::move(wire.sent[0]), 0.0);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1], std::make_pair(1u, pdes::EventUid{31}));
+  EXPECT_EQ(stack.flush_acks(1, 0.0), 1u);
+}
 
 // Unit-level retry-cap contract, timer path: a permanently black link must
 // latch exactly one structured error naming the link and sequence once the
@@ -397,7 +461,6 @@ struct BlackholeWire final : pdes::Transport {
 TEST(ChaosUnreliable, ChannelStackPollLatchesErrorThenGoesQuiet) {
   BlackholeWire wire;
   pdes::TransportConfig tc;
-  tc.reliable = true;
   tc.max_retries = 4;
   tc.rto = 1.0;
   pdes::ChannelStack stack(wire, /*num_workers=*/3, tc);
@@ -446,7 +509,6 @@ TEST(ChaosUnreliable, ChannelStackPollLatchesErrorThenGoesQuiet) {
 TEST(ChaosUnreliable, ChannelStackFlushExhaustsCapWithFrozenClock) {
   BlackholeWire wire;
   pdes::TransportConfig tc;
-  tc.reliable = true;
   tc.max_retries = 6;
   tc.rto = 1e9;  // timer path can never fire; only flush() spends attempts
   pdes::ChannelStack stack(wire, /*num_workers=*/2, tc);
@@ -483,7 +545,6 @@ TEST(ChaosDeterminism, SameSeedSameCounters) {
     rc.configuration = Configuration::kDynamic;
     rc.until = 250;
     rc.transport.faults = chaos_plan(42);
-    rc.transport.reliable = true;
     MachineEngine eng(
         *par.graph,
         partition::round_robin(par.graph->size(), rc.num_workers), rc);
@@ -526,7 +587,6 @@ TEST(Diagnostics, DeadlockReportFormatsBlockedLps) {
 TEST(Diagnostics, DeadlockReportTruncatesAfterEightLps) {
   pdes::DeadlockReport report;
   report.gvt = kTimeZero;
-  report.transport_starvation = true;
   for (pdes::LpId id = 0; id < 12; ++id) {
     pdes::DeadlockReport::LpDiag d;
     d.id = id;
@@ -537,8 +597,7 @@ TEST(Diagnostics, DeadlockReportTruncatesAfterEightLps) {
     report.blocked.push_back(d);
   }
   const std::string s = report.str();
-  EXPECT_NE(s.find("transport starvation"), std::string::npos) << s;
-  EXPECT_EQ(s.find("protocol deadlock"), std::string::npos) << s;
+  EXPECT_NE(s.find("protocol deadlock"), std::string::npos) << s;
   EXPECT_NE(s.find("12 LP(s) with pending work"), std::string::npos) << s;
   EXPECT_NE(s.find(" ..."), std::string::npos) << s;
   EXPECT_NE(s.find("lp 7"), std::string::npos) << s;   // 8th entry shown
@@ -560,16 +619,6 @@ TEST(Diagnostics, TransportErrorNamesLinkWhenAttemptsKnown) {
   EXPECT_NE(s.find("seq 99"), std::string::npos) << s;
   EXPECT_NE(s.find("7 attempts"), std::string::npos) << s;
   EXPECT_NE(s.find("gave up after retry cap"), std::string::npos) << s;
-}
-
-TEST(Diagnostics, TransportErrorOmitsLinkForSyntheticErrors) {
-  pdes::TransportError err;
-  err.message = "packets were dropped without reliable delivery";
-  const std::string s = err.str();  // attempts == 0: no link to blame
-  EXPECT_NE(s.find("transport error"), std::string::npos) << s;
-  EXPECT_EQ(s.find("on link"), std::string::npos) << s;
-  EXPECT_EQ(s.find("seq"), std::string::npos) << s;
-  EXPECT_NE(s.find("without reliable delivery"), std::string::npos) << s;
 }
 
 }  // namespace

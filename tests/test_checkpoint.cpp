@@ -18,6 +18,7 @@
 #include "circuits/builder.h"
 #include "circuits/fsm.h"
 #include "circuits/random_circuit.h"
+#include "common/crc32.h"
 #include "partition/partition.h"
 #include "pdes/checkpoint.h"
 #include "pdes/machine.h"
@@ -251,7 +252,6 @@ TEST(CheckpointRecoveryModes, CrashWithInFlightRetransmissions) {
   fp.duplicate = 0.08;
   fp.reorder = 0.30;
   fp.jitter = 1.5;
-  rc.transport.reliable = true;
   fp.crashes.push_back(WorkerCrash{3, 70});
   MachineEngine eng(*par.graph,
                     partition::round_robin(par.graph->size(), rc.num_workers),
@@ -558,14 +558,15 @@ TEST(CheckpointFailure, ThreadedBudgetExhaustionSurfacesError) {
 // Slow failure detection (large heartbeat budget) racing a tight retry cap
 // on a reliable link into the dead worker: the retransmission budget runs
 // out first and the run unwinds with a TransportError instead of hanging
-// in the drain loop.
+// in the drain loop.  A light duplicate-only link fault makes the wire
+// lossy, which is what composes the reliable layer and its retry cap.
 TEST(CheckpointFailure, SlowDetectionLosesToRetryCap) {
   testutil::Watchdog wd("CheckpointFailure.SlowDetectionLosesToRetryCap",
                         std::chrono::seconds(120));
   Built par = build_fsm();
   RunConfig rc = base_config(Configuration::kDynamic, 250);
   rc.transport.faults.crashes.push_back(WorkerCrash{1, 60});
-  rc.transport.reliable = true;
+  rc.transport.faults.duplicate = 0.02;
   rc.transport.max_retries = 2;
   rc.transport.rto = 8.0;  // above healthy RTT: only a dead peer times out
   rc.checkpoint.heartbeat_rounds = 50;  // detection far too slow
@@ -578,37 +579,74 @@ TEST(CheckpointFailure, SlowDetectionLosesToRetryCap) {
 }
 
 // Determinism: crash injection, recovery and checkpointing are pure
-// functions of the seed -- two identical runs agree on every counter.
+// functions of the seed -- two identical runs agree on every counter.  The
+// seeded crash rate here outruns redistribution (all four workers die, and
+// the run ends in a RecoveryError), which must be just as reproducible.
+// The link-fault row adds chaos on the wire to two scheduled crashes: its
+// fault RNGs run on across each recovery instead of rewinding, and both
+// runs still agree on every transport counter and commit the oracle trace.
 TEST(CheckpointDeterminism, SameSeedSameCountersAndTrace) {
   testutil::Watchdog wd("CheckpointDeterminism.SameSeedSameCountersAndTrace",
                         std::chrono::seconds(120));
-  auto run_once = [](Built* out) {
-    *out = build_fsm();
-    RunConfig rc;
-    rc.num_workers = 4;
-    rc.configuration = Configuration::kDynamic;
-    rc.until = 250;
-    rc.gvt_interval = 24;
-    rc.checkpoint.period = 2;
-    rc.transport.faults.seed = 9;
-    rc.transport.faults.crash_rate = 0.002;
-    rc.checkpoint.max_recoveries = 64;
-    MachineEngine eng(
-        *out->graph,
-        partition::round_robin(out->graph->size(), rc.num_workers), rc);
-    eng.set_commit_hook(out->recorder->hook());
-    return eng.run();
-  };
-  Built a_built;
-  Built b_built;
-  const RunStats a = run_once(&a_built);
-  const RunStats b = run_once(&b_built);
-  EXPECT_EQ(a.checkpoint.crashes, b.checkpoint.crashes);
-  EXPECT_EQ(a.checkpoint.recoveries, b.checkpoint.recoveries);
-  EXPECT_EQ(a.checkpoint.checkpoints, b.checkpoint.checkpoints);
-  EXPECT_EQ(a.total_committed(), b.total_committed());
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(TraceRecorder::diff(*a_built.recorder, *b_built.recorder), "");
+  const Built ref = run_oracle(&build_fsm, 250);
+  for (const bool link_faults : {false, true}) {
+    auto run_once = [link_faults](Built* out) {
+      *out = build_fsm();
+      RunConfig rc;
+      rc.num_workers = 4;
+      rc.configuration = Configuration::kDynamic;
+      rc.until = 250;
+      rc.gvt_interval = 24;
+      rc.checkpoint.period = 2;
+      FaultPlan& fp = rc.transport.faults;
+      fp.seed = 9;
+      if (link_faults) {
+        fp.crashes = {WorkerCrash{1, 40}, WorkerCrash{3, 90}};
+        fp.drop = 0.1;
+        fp.duplicate = 0.05;
+        fp.reorder = 0.2;
+        fp.jitter = 1.0;
+      } else {
+        fp.crash_rate = 0.002;
+      }
+      rc.checkpoint.max_recoveries = 64;
+      MachineEngine eng(
+          *out->graph,
+          partition::round_robin(out->graph->size(), rc.num_workers), rc);
+      eng.set_commit_hook(out->recorder->hook());
+      return eng.run();
+    };
+    SCOPED_TRACE(link_faults ? "crashes + link faults" : "crash rate");
+    Built a_built;
+    Built b_built;
+    const RunStats a = run_once(&a_built);
+    const RunStats b = run_once(&b_built);
+    EXPECT_GT(a.checkpoint.crashes, 0u);
+    EXPECT_EQ(a.checkpoint.crashes, b.checkpoint.crashes);
+    EXPECT_EQ(a.checkpoint.recoveries, b.checkpoint.recoveries);
+    EXPECT_EQ(a.checkpoint.checkpoints, b.checkpoint.checkpoints);
+    EXPECT_EQ(a.total_committed(), b.total_committed());
+    EXPECT_EQ(a.makespan, b.makespan);
+    const pdes::TransportCounters& ta = a.transport;
+    const pdes::TransportCounters& tb = b.transport;
+    EXPECT_EQ(ta.data_sent, tb.data_sent);
+    EXPECT_EQ(ta.acks_sent, tb.acks_sent);
+    EXPECT_EQ(ta.delivered, tb.delivered);
+    EXPECT_EQ(ta.dropped, tb.dropped);
+    EXPECT_EQ(ta.duplicated, tb.duplicated);
+    EXPECT_EQ(ta.reordered, tb.reordered);
+    EXPECT_EQ(ta.retransmits, tb.retransmits);
+    EXPECT_EQ(ta.dup_discarded, tb.dup_discarded);
+    EXPECT_EQ(ta.buffered, tb.buffered);
+    EXPECT_EQ(TraceRecorder::diff(*a_built.recorder, *b_built.recorder), "");
+    if (!link_faults) continue;
+    EXPECT_FALSE(a.recovery_error) << a.recovery_error->str();
+    EXPECT_FALSE(a.transport_error) << a.transport_error->str();
+    EXPECT_EQ(a.checkpoint.recoveries, 2u);
+    EXPECT_GT(ta.dropped, 0u);
+    EXPECT_GT(ta.retransmits, 0u);
+    EXPECT_EQ(TraceRecorder::diff(*ref.recorder, *a_built.recorder), "");
+  }
 }
 
 // ---- CheckpointStore: codec + disk spill ----------------------------------
@@ -618,9 +656,6 @@ Checkpoint sample_checkpoint() {
   ck.round = 7;
   ck.gvt = VirtualTime{40, 2};
   ck.last_promise = {VirtualTime{10, 0}, VirtualTime{12, 3}};
-  ck.links.push_back({5, 9});
-  ck.links.push_back({1, 1});
-  ck.fault_links.push_back({0xdeadbeefULL, 3});
   ck.lps.resize(2);
   ck.lps[0].mode = pdes::SyncMode::kOptimistic;
   ck.lps[0].committed_ts = VirtualTime{38, 0};
@@ -652,11 +687,6 @@ TEST(CheckpointStoreTest, PortableCodecRoundTrips) {
   EXPECT_EQ(back.round, ck.round);
   EXPECT_EQ(back.gvt, ck.gvt);
   EXPECT_EQ(back.last_promise.size(), ck.last_promise.size());
-  EXPECT_EQ(back.links.size(), ck.links.size());
-  EXPECT_EQ(back.links[0].next_seq, 5u);
-  EXPECT_EQ(back.links[0].expected, 9u);
-  EXPECT_EQ(back.fault_links.size(), 1u);
-  EXPECT_EQ(back.fault_links[0].rng, 0xdeadbeefULL);
   ASSERT_EQ(back.lps.size(), 2u);
   EXPECT_EQ(back.lps[0].mode, pdes::SyncMode::kOptimistic);
   EXPECT_EQ(back.lps[0].send_seq, 17u);
@@ -688,6 +718,59 @@ TEST(CheckpointStoreTest, DecodeRejectsCorruption) {
   EXPECT_FALSE(CheckpointStore::decode_portable(trailing, &out));
 
   EXPECT_FALSE(CheckpointStore::decode_portable({}, &out));
+}
+
+// Rewrites the codec version field (bytes 4..7, after the magic) and
+// re-seals the CRC32 footer, so only the version is wrong.
+std::vector<std::uint8_t> with_version(std::vector<std::uint8_t> blob,
+                                       std::uint32_t version) {
+  for (int i = 0; i < 4; ++i)
+    blob[4 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+  const std::size_t body = blob.size() - 4;
+  const std::uint32_t crc = common::crc32(blob.data(), body);
+  for (int i = 0; i < 4; ++i)
+    blob[body + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  return blob;
+}
+
+// A file written by the previous codec version (v3, which still carried
+// the per-link transport cursor sections) is unreadable: decode rejects
+// it, and the restart scan skips it for the newest current-version file.
+TEST(CheckpointStoreTest, OldCodecVersionIsRejectedAndSkipped) {
+  namespace fs = std::filesystem;
+  const auto blob = CheckpointStore::encode_portable(sample_checkpoint());
+  Checkpoint out;
+  ASSERT_TRUE(CheckpointStore::decode_portable(with_version(blob, 4), &out));
+  const auto old = with_version(blob, 3);
+  EXPECT_FALSE(CheckpointStore::decode_portable(old, &out));
+
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("vsim_ckpt_oldver_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    CheckpointStore store(/*keep=*/4, dir.string());
+    for (std::uint64_t round = 1; round <= 2; ++round) {
+      Checkpoint ck = sample_checkpoint();
+      ck.round = round;
+      store.put(std::move(ck));
+    }
+    EXPECT_FALSE(store.io_error().has_value()) << *store.io_error();
+  }
+  {
+    Checkpoint ck = sample_checkpoint();
+    ck.round = 5;
+    const auto old5 = with_version(CheckpointStore::encode_portable(ck), 3);
+    std::ofstream f(dir / "ckpt-5.bin", std::ios::binary);
+    f.write(reinterpret_cast<const char*>(old5.data()),
+            static_cast<std::streamsize>(old5.size()));
+  }
+  std::uint64_t skipped = 0;
+  const auto ck = CheckpointStore::load_newest_valid(dir.string(), &skipped);
+  ASSERT_TRUE(ck.has_value());
+  EXPECT_EQ(ck->round, 2u);
+  EXPECT_EQ(skipped, 1u);
+  fs::remove_all(dir);
 }
 
 TEST(CheckpointStoreTest, RingEvictsAndSpillsToDisk) {
@@ -853,38 +936,12 @@ TEST(ConfigValidation, RejectsOutOfRangeFaultPlan) {
   EXPECT_EQ(err->field, "faults.crashes");
 }
 
-TEST(ConfigValidation, RejectsBrokenReliableTransport) {
-  pdes::TransportConfig tc;
-  tc.reliable = true;
-  tc.max_retries = 0;
-  auto err = validate(tc, 2);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->field, "transport.max_retries");
-
-  tc = pdes::TransportConfig{};
-  tc.reliable = true;
-  tc.rto = 0.0;
-  err = validate(tc, 2);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->field, "transport.rto");
-
-  // An unreliable transport tolerates the same values: they are unused.
-  tc.reliable = false;
-  EXPECT_FALSE(validate(tc, 2).has_value());
-}
-
 TEST(ConfigValidation, RejectsBrokenCheckpointConfig) {
   RunConfig rc;
   rc.checkpoint.heartbeat_rounds = 0;
   auto err = validate(rc);
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->field, "checkpoint.heartbeat_rounds");
-
-  rc = RunConfig{};
-  rc.checkpoint.keep = 0;
-  err = validate(rc);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->field, "checkpoint.keep");
 
   rc = RunConfig{};
   rc.transport.faults.crash_rate = 0.5;

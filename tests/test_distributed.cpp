@@ -183,6 +183,9 @@ TEST(Distributed, FourRankSocketRunMatchesOracle) {
     EXPECT_GT(st.metrics.counter(obs::Metric::kNetFramesSent), 0u) << tc.name;
     EXPECT_GT(st.metrics.counter(obs::Metric::kNetFramesRecv), 0u) << tc.name;
     EXPECT_GT(st.transport.data_sent, 0u) << tc.name;
+    // The socket wire is not lossless (a reconnect can drop or replay a
+    // frame), so the channel stack composes its reliable layer and acks.
+    EXPECT_GT(st.transport.acks_sent, 0u) << tc.name;
     // The fault-free socket wire is reliable on its own: drains poll the
     // retransmit timers instead of force-resending every unacked packet.
     // Slow (sanitized) runs may still hit the timeout now and then.
@@ -283,9 +286,10 @@ TEST(Distributed, TwoDeathsTwoRecoveries) {
   EXPECT_EQ(TraceRecorder::diff(*ref.recorder, *par.recorder), "");
 }
 
-// Chaos on the wire *and* a SIGKILL: fault injection must replay
-// deterministically through the recovery (per-rank fault-cursor rings), so
-// the rejoined timeline still matches the oracle.
+// Chaos on the wire *and* a SIGKILL: recovery resets every rank's channel
+// stack while the fault RNGs run on, so the replay meets fresh faults; the
+// reliable layer repairs them and the rejoined timeline still matches the
+// oracle.
 TEST(Distributed, ChaosPlusKillStillMatchesOracle) {
   SKIP_UNDER_TSAN();
   Built ref = build_gates();
@@ -426,8 +430,8 @@ TEST(Distributed, CoordinatorPlusWorkerKill) {
   EXPECT_EQ(TraceRecorder::diff(*ref.recorder, *par.recorder), "");
 }
 
-// Seeded wire chaos on top of a coordinator kill: the promoted successor
-// inherits the fault-cursor replay discipline, so the rejoined timeline
+// Seeded wire chaos on top of a coordinator kill: after the promoted
+// successor's recovery resets every channel stack, the rejoined timeline
 // still matches the oracle through drops, dups and reordering.
 TEST(Distributed, ChaosPlusCoordinatorKill) {
   SKIP_UNDER_TSAN();
