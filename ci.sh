@@ -84,11 +84,13 @@ echo "==> Scheduler smoke: ready queue vs reference scan, activity-bound rounds"
 # The ctest sweep above already ran it; the named gate keeps the scheduler
 # proof visible.  All three engines select through the one ReadyQueue, which
 # must select in exactly the reference scan's (key, lp) order under random
-# updates, parks, re-arms, migrations and rebuilds.  On a ~20k-LP netlist,
-# a threaded P=1 run must match the oracle while its round sweeps visit
-# under a tenth of rounds x LPs, and a machine-model P=16 run must match it
-# while its sweeps visit under half.  The label also carries the threaded
-# round barrier's tests (completion step, leave, spin and park paths).
+# updates, parks, re-arms, fossil holds, migrations and rebuilds, and its
+# fossil heap must hand a round exactly the held LPs strictly below GVT.
+# On a ~20k-LP netlist, a threaded P=1 run and a machine-model P=16 run must
+# each match the oracle while their round sweeps visit at most three LPs
+# per processed event: round work tracks activity and commits, not
+# rounds x LPs.  The label also carries the threaded round barrier's tests
+# (completion step, leave, spin and park paths).
 ctest --test-dir build -L sched --output-on-failure
 
 echo "==> Doc links: no dangling DESIGN.md/README anchors or section refs"

@@ -94,8 +94,8 @@ enum class Metric : std::uint16_t {
   kAdaptPins,              ///< adapt.pinned — LPs pinned conservative
   kAdaptDeferrals,         ///< adapt.deferrals — demotions deferred by budget
   /// engine.round_lp_visits — LPs the GVT rounds' fossil/adapt sweeps
-  /// visited: dirty LPs only in every engine, so it tracks activity, not
-  /// rounds x LPs.
+  /// visited: dirty and due LPs only in every engine, so it tracks
+  /// activity and commits, not rounds x LPs.
   kRoundLpVisits,
   /// engine.round_barriers — completed round-barrier generations (threaded
   /// engine): the stop barrier, one per drain pass and the end barrier of

@@ -1424,12 +1424,13 @@ bool DistributedEngine::coordinator_round() {
 void DistributedEngine::apply_gvt_local(std::uint64_t round, VirtualTime gvt,
                                         bool ckpt_due) {
   // The round pipeline (DESIGN.md "GVT round pipeline"); each rank is its
-  // own adaptation scope and sweeps only its dirty LPs.  Parked LPs'
+  // own adaptation scope and sweeps only its dirty and due LPs.  Parked LPs'
   // blocked polls land before the capture's rollback and before adapt()
   // reads them.
   DistRouter router(*this);
   settle_credits(self_.ready);
   if (ckpt_due) ckpt_capture_and_ship(round, gvt);  // fossils every owned LP
+  self_.ready.take_due(gvt);
   self_.ready.take_dirty(self_.sweep);
   sweep(self_.sweep, owned_.size(), gvt, router,
         [&](LpId) { return SweepTarget{self_.ready, true}; });

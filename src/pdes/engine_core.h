@@ -136,10 +136,11 @@ class CrashInjector {
 /// Scheduling state of one ReadyQueue scope: a modelled machine worker, a
 /// threaded worker or a distributed rank.
 struct ReadyScope {
-  /// The owned LPs as an indexed ready heap, a parked list and a dirty set
-  /// (ready_queue.h): selection, the local GVT minimum and the round sweep.
+  /// The owned LPs as an indexed ready heap, a parked list, a dirty set and
+  /// a fossil heap (ready_queue.h): selection, the local GVT minimum and
+  /// the round sweep.
   ReadyQueue ready;
-  /// Reused scratch for the round's dirty-LP sweep.
+  /// Reused scratch for the round's sweep set.
   std::vector<LpId> sweep;
   std::uint64_t events_since_round = 0;
   WorkerStats stats;
@@ -225,12 +226,14 @@ class EngineCore {
   /// the passes it sat out.  Runs before step 3's capture (a rollback
   /// changes how the polls classify) and before step 4 reads them.
   void settle_credits(ReadyQueue& q);
-  /// Steps 2 and 4 over `ids` (a round's dirty LPs, ascending), one
-  /// adaptation scope of `scope` LPs: fossil-collect each at `gvt`, then,
-  /// if alive, adapt it (or reset its window) and send its null promise.
-  /// `enter(lp)`, called first, points the router at the LP's owner and
-  /// returns its SweepTarget.  LPs that need another visit regardless of
-  /// activity are re-touched.  Counts the visits.
+  /// Steps 2 and 4 over `ids` (a round's dirty and due LPs, ascending: the
+  /// owners' take_due(gvt) then take_dirty()), one adaptation scope of
+  /// `scope` LPs: fossil-collect each at `gvt`, then, if alive, adapt it
+  /// (or reset its window) and send its null promise.  `enter(lp)`, called
+  /// first, points the router at the LP's owner and returns its
+  /// SweepTarget.  LPs with a stall streak or a deferred demotion are
+  /// re-touched; LPs left holding history are held in the owner's fossil
+  /// heap.  Counts the visits.
   template <class R, class Enter>
   void sweep(const std::vector<LpId>& ids, std::size_t scope, VirtualTime gvt,
              R& router, Enter&& enter);
@@ -489,9 +492,13 @@ void EngineCore::sweep(const std::vector<LpId>& ids, std::size_t scope,
       lps_[lp].reset_window();
     }
     if (t.live && null_msgs_) send_null_messages_for(lp, router);
-    // A dead worker's LPs are only fossil-collected until recovery; like
-    // live ones, they stay in the sweep while they hold history.
-    if (lps_[lp].round_visit_pending() || deferred) t.queue.touch(lp);
+    // Idle LPs come back only for what a visit would do without new
+    // activity: fold a memory-stall streak, retry a deferred demotion, or
+    // (through the fossil heap) commit history once GVT passes its oldest
+    // entry.  A dead worker's LPs are only fossil-collected until recovery,
+    // and are held like live ones.
+    if (lps_[lp].stall_streak() > 0 || deferred) t.queue.touch(lp);
+    t.queue.hold(lp, lps_[lp].oldest_history_ts());
   }
   metrics_.shard(router.worker()).inc(obs::Metric::kRoundLpVisits, ids.size());
 }

@@ -6,11 +6,17 @@
 // the null-message strategy, and the arbitrary/user-consistent ordering
 // rules for simultaneous events.
 //
-// Engines (sequential, machine model, threaded) drive LpRuntimes through a
-// small interface: enqueue() delivers messages (possibly triggering
-// rollback), peek() asks whether the minimal pending event may be processed
-// under the current safety information, process_next() executes it, and
-// fossil_collect() commits and frees history below GVT.
+// Engines (sequential, machine model, threaded, distributed) drive
+// LpRuntimes through a small interface: enqueue() delivers messages
+// (possibly triggering rollback), peek() asks whether the minimal pending
+// event may be processed under the current safety information,
+// process_next() executes it, and fossil_collect() commits and frees
+// history below GVT.  A GVT round visits an LP only when that visit does
+// work: it saw activity (the ReadyQueue's dirty set), its oldest history
+// entry (oldest_history_ts()) fell below GVT (the fossil heap), or it has a
+// memory-stall streak or a deferred demotion to carry.  Visiting any other
+// LP is a no-op: nothing to commit, an empty adaptation window to fold, and
+// an unchanged null promise.
 #pragma once
 
 #include <cassert>
@@ -177,13 +183,6 @@ class LpRuntime {
   }
   /// Consecutive folded windows dominated by Time Warp memory stalls.
   [[nodiscard]] std::uint32_t stall_streak() const { return stall_streak_; }
-  /// True when the next GVT round's fossil/adapt visit does work even if
-  /// the LP sees no new activity before it: history to commit, or a
-  /// memory-stall streak the next fold resets.  Engines that visit only
-  /// active LPs at rounds keep these in the next round's set.
-  [[nodiscard]] bool round_visit_pending() const {
-    return !history_.empty() || stall_streak_ > 0;
-  }
   /// Test hook: stages one synthetic window's counters (as if they had
   /// accumulated live); the next fold_window()/controller round folds them.
   void inject_window(std::uint64_t events, std::uint64_t undone,
@@ -195,6 +194,12 @@ class LpRuntime {
   }
 
   [[nodiscard]] std::size_t history_size() const { return history_.size(); }
+  /// Timestamp of the oldest uncommitted history entry (kTimeInf when the
+  /// history is empty): fossil_collect(gvt) commits something exactly when
+  /// it is below `gvt`.  The ReadyQueue's fossil heap is keyed by it.
+  [[nodiscard]] VirtualTime oldest_history_ts() const {
+    return history_.empty() ? kTimeInf : history_.front().ev.ts;
+  }
   [[nodiscard]] bool has_pending() const { return !pending_.empty(); }
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
 

@@ -277,15 +277,16 @@ bool MachineEngine::sync_round() {
   }
 
   // The round pipeline (DESIGN.md "GVT round pipeline").  The machine model
-  // sweeps every worker's dirty LPs in one deterministic pass, so the whole
-  // engine is one adaptation scope: the demotion budget drains in LP id
-  // order regardless of placement.
+  // sweeps every worker's dirty and due LPs in one deterministic pass, so
+  // the whole engine is one adaptation scope: the demotion budget drains in
+  // LP id order regardless of placement.
   verdict_ = gate_.judge(gvt, total_events, transport_failed_, crash_pending);
   deadlocked_ = verdict_.deadlock;
   for (Worker& w : workers_) settle_credits(w.ready);
   if (verdict_.checkpoint) take_checkpoint(gvt);
   round_lps_.clear();
-  for (Worker& w : workers_) {
+  for (Worker& w : workers_) {  // dead workers' LPs too: they still commit
+    w.ready.take_due(gvt);
     w.ready.take_dirty(w.sweep);
     round_lps_.insert(round_lps_.end(), w.sweep.begin(), w.sweep.end());
   }

@@ -1,7 +1,8 @@
 // Per-worker scheduler structure of all three engines (the machine model's
 // workers, the threaded engine's threads and the distributed engine's
 // ranks): an indexed ready heap, a parked list for blocked LPs, blocked-poll
-// credit, and the dirty set that bounds GVT-round work by activity.
+// credit, and the dirty set and fossil heap that bound GVT-round work by
+// activity and commits.
 //
 // Selection.  Every member LP with a finite key (its next pending timestamp)
 // sits in a binary min-heap ordered by (key, lp), with a per-LP position
@@ -16,10 +17,20 @@
 // the engine can charge them to LpRuntime::note_blocked() -- the adaptation
 // controller's promotion evidence keeps its meaning.
 //
-// Dirty set.  add(), update() and park_top() mark an LP dirty; take_dirty()
-// hands the round the marked members in ascending id and clears the marks.
-// Engines re-touch() the LPs that need another visit next round regardless
-// of activity (held history, a memory-stall streak, a deferred demotion).
+// Round set.  A round visits the dirty members and the due ones:
+//   * add(), update() and park_top() mark an LP dirty; take_dirty() hands
+//     the round the marked members in ascending id and clears the marks.
+//     Engines re-touch() the LPs whose next visit does work without new
+//     activity (a memory-stall streak, a deferred demotion).
+//   * After its visit an LP that still holds history is held (hold()) in
+//     the fossil heap, a second indexed min-heap keyed by its oldest history
+//     timestamp.  take_due(gvt), called before take_dirty(), touches and
+//     releases every held member whose key is below GVT -- exactly the LPs
+//     that LpRuntime::fossil_collect(gvt) would commit -- so a held LP is
+//     not visited again until it has something to commit or sees activity.
+//     Every change to an LP's oldest history entry (processing, a rollback,
+//     a checkpoint capture, migration, recovery) comes with a touch, so the
+//     key of a held, untouched LP is always current.
 //
 // Single-threaded: each queue belongs to one worker (or rank).  The threaded
 // engine's coordinator touches other workers' queues only while they wait at
@@ -42,12 +53,13 @@ class ReadyQueue {
   /// An empty queue over the LP id space [0, num_lps).
   explicit ReadyQueue(std::size_t num_lps) { reset(num_lps); }
 
-  /// Drops every member, the parked list and the dirty set.
+  /// Drops every member, the parked list, the dirty set and the fossil heap.
   void reset(std::size_t num_lps) {
     slot_.assign(num_lps, Slot{});
     heap_.clear();
     parked_.clear();
     dirty_.clear();
+    held_.clear();
     members_ = 0;
   }
 
@@ -63,13 +75,15 @@ class ReadyQueue {
     touch(lp);
   }
 
-  /// `lp` leaves the queue (migration out).  Callers take any parked credit
-  /// first.  A stale dirty mark stays behind; take_dirty() filters it.
+  /// `lp` leaves the queue (migration out) and its fossil hold.  Callers
+  /// take any parked credit first.  A stale dirty mark stays behind;
+  /// take_dirty() filters it.
   void remove(LpId lp) {
     Slot& s = slot_[lp];
     assert(s.where != Where::kOut);
-    if (s.where == Where::kHeap) heap_erase(s.pos);
+    if (s.where == Where::kHeap) erase<&Slot::pos>(heap_, s.pos);
     if (s.where == Where::kParked) parked_erase(s.pos);
+    release(lp);
     s.where = Where::kOut;
     --members_;
   }
@@ -91,14 +105,9 @@ class ReadyQueue {
     Slot& s = slot_[lp];
     assert(s.where != Where::kOut);
     if (s.where == Where::kHeap && key != kTimeInf) {
-      const VirtualTime old = heap_[s.pos].key;
-      heap_[s.pos].key = key;
-      if (key < old)
-        sift_up(s.pos);
-      else
-        sift_down(s.pos);
+      rekey<&Slot::pos>(heap_, s.pos, key);
     } else {
-      if (s.where == Where::kHeap) heap_erase(s.pos);
+      if (s.where == Where::kHeap) erase<&Slot::pos>(heap_, s.pos);
       if (s.where == Where::kParked) parked_erase(s.pos);
       s.where = Where::kIdle;
       place(lp, key);
@@ -121,7 +130,7 @@ class ReadyQueue {
   /// after this pass.
   void park_top() {
     const Node n = heap_.front();
-    heap_erase(0);
+    erase<&Slot::pos>(heap_, 0);
     Slot& s = slot_[n.lp];
     s.where = Where::kParked;
     s.pos = static_cast<std::uint32_t>(parked_.size());
@@ -179,6 +188,38 @@ class ReadyQueue {
     dirty_.push_back(lp);
   }
 
+  /// After `lp`'s round visit: hold it in the fossil heap while its oldest
+  /// history entry is at `oldest`; kTimeInf (no history) releases it.
+  void hold(LpId lp, VirtualTime oldest) {
+    Slot& s = slot_[lp];
+    assert(s.where != Where::kOut && "only members are held");
+    if (oldest == kTimeInf) {
+      release(lp);
+    } else if (s.held == kNotHeld) {
+      push<&Slot::held>(held_, {oldest, lp});
+    } else {
+      assert(held_[s.held].lp == lp);
+      if (held_[s.held].key != oldest)
+        rekey<&Slot::held>(held_, s.held, oldest);
+    }
+  }
+
+  /// Touches and releases every held member whose oldest history entry is
+  /// strictly below `gvt` (fossil_collect's bound: an entry at exactly GVT
+  /// stays).  Call before take_dirty(); the visit re-holds what remains.
+  void take_due(VirtualTime gvt) {
+    while (!held_.empty() && held_.front().key < gvt) {
+      const LpId lp = held_.front().lp;
+      assert(slot_[lp].where != Where::kOut && slot_[lp].held == 0);
+      release(lp);
+      touch(lp);
+    }
+  }
+  [[nodiscard]] bool held(LpId lp) const {
+    return slot_[lp].held != kNotHeld;
+  }
+  [[nodiscard]] std::size_t held_count() const { return held_.size(); }
+
   /// Moves the dirty members into `out` in ascending id and clears every
   /// mark.  LPs touched while the caller walks `out` land in the next set.
   void take_dirty(std::vector<LpId>& out) {
@@ -195,11 +236,16 @@ class ReadyQueue {
 
  private:
   enum class Where : std::uint8_t { kOut, kIdle, kHeap, kParked };
+  static constexpr std::uint32_t kNotHeld = ~std::uint32_t{0};
+  /// One per LP id per queue, so it stays small: two heap positions and
+  /// two bytes of state.
   struct Slot {
-    std::uint32_t pos = 0;  ///< index in heap_ or parked_
+    std::uint32_t pos = 0;          ///< index in heap_ or parked_
+    std::uint32_t held = kNotHeld;  ///< index in held_ (the fossil heap)
     Where where = Where::kOut;
     bool dirty = false;
   };
+  static_assert(sizeof(Slot) == 12);
   struct Node {
     VirtualTime key;
     LpId lp;
@@ -217,27 +263,17 @@ class ReadyQueue {
   /// Puts an unplaced member where `key` says: the heap if finite, else idle.
   void place(LpId lp, VirtualTime key) {
     if (key == kTimeInf) return;
-    Slot& s = slot_[lp];
-    s.where = Where::kHeap;
-    s.pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back({key, lp});
-    sift_up(s.pos);
+    slot_[lp].where = Where::kHeap;
+    push<&Slot::pos>(heap_, {key, lp});
   }
 
-  void heap_erase(std::size_t i) {
-    const std::size_t last = heap_.size() - 1;
-    if (i != last) {
-      const VirtualTime old = heap_[i].key;
-      const LpId old_lp = heap_[i].lp;
-      set(i, heap_[last]);
-      heap_.pop_back();
-      if (less(heap_[i], Node{old, old_lp}))
-        sift_up(i);
-      else
-        sift_down(i);
-    } else {
-      heap_.pop_back();
-    }
+  /// Drops `lp` from the fossil heap, if it is held.
+  void release(LpId lp) {
+    const std::uint32_t i = slot_[lp].held;
+    if (i == kNotHeld) return;
+    assert(held_[i].lp == lp);
+    erase<&Slot::held>(held_, i);
+    slot_[lp].held = kNotHeld;
   }
 
   void parked_erase(std::size_t i) {
@@ -248,40 +284,80 @@ class ReadyQueue {
     parked_.pop_back();
   }
 
-  void set(std::size_t i, const Node& n) {
-    heap_[i] = n;
-    slot_[n.lp].pos = static_cast<std::uint32_t>(i);
+  // The ready heap (heap_, positions in Slot::pos) and the fossil heap
+  // (held_, positions in Slot::held) share these indexed-heap operations.
+
+  template <std::uint32_t Slot::*Pos>
+  void push(std::vector<Node>& h, const Node& n) {
+    h.push_back(n);
+    sift_up<Pos>(h, h.size() - 1);
   }
 
-  void sift_up(std::size_t i) {
-    const Node n = heap_[i];
+  template <std::uint32_t Slot::*Pos>
+  void rekey(std::vector<Node>& h, std::size_t i, VirtualTime key) {
+    const VirtualTime old = h[i].key;
+    h[i].key = key;
+    if (key < old)
+      sift_up<Pos>(h, i);
+    else
+      sift_down<Pos>(h, i);
+  }
+
+  /// Removes entry `i`; the caller resets the removed member's position.
+  template <std::uint32_t Slot::*Pos>
+  void erase(std::vector<Node>& h, std::size_t i) {
+    const std::size_t last = h.size() - 1;
+    if (i != last) {
+      const Node old = h[i];
+      set<Pos>(h, i, h[last]);
+      h.pop_back();
+      if (less(h[i], old))
+        sift_up<Pos>(h, i);
+      else
+        sift_down<Pos>(h, i);
+    } else {
+      h.pop_back();
+    }
+  }
+
+  template <std::uint32_t Slot::*Pos>
+  void set(std::vector<Node>& h, std::size_t i, const Node& n) {
+    h[i] = n;
+    slot_[n.lp].*Pos = static_cast<std::uint32_t>(i);
+  }
+
+  template <std::uint32_t Slot::*Pos>
+  void sift_up(std::vector<Node>& h, std::size_t i) {
+    const Node n = h[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!less(n, heap_[parent])) break;
-      set(i, heap_[parent]);
+      if (!less(n, h[parent])) break;
+      set<Pos>(h, i, h[parent]);
       i = parent;
     }
-    set(i, n);
+    set<Pos>(h, i, n);
   }
 
-  void sift_down(std::size_t i) {
-    const Node n = heap_[i];
-    const std::size_t size = heap_.size();
+  template <std::uint32_t Slot::*Pos>
+  void sift_down(std::vector<Node>& h, std::size_t i) {
+    const Node n = h[i];
+    const std::size_t size = h.size();
     for (;;) {
       std::size_t child = 2 * i + 1;
       if (child >= size) break;
-      if (child + 1 < size && less(heap_[child + 1], heap_[child])) ++child;
-      if (!less(heap_[child], n)) break;
-      set(i, heap_[child]);
+      if (child + 1 < size && less(h[child + 1], h[child])) ++child;
+      if (!less(h[child], n)) break;
+      set<Pos>(h, i, h[child]);
       i = child;
     }
-    set(i, n);
+    set<Pos>(h, i, n);
   }
 
   std::vector<Slot> slot_;
   std::vector<Node> heap_;
   std::vector<Parked> parked_;
   std::vector<LpId> dirty_;
+  std::vector<Node> held_;  ///< the fossil heap: (oldest history ts, lp)
   std::size_t members_ = 0;
   std::uint64_t passes_ = 0;
 };

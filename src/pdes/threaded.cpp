@@ -264,39 +264,46 @@ void ThreadedEngine::worker_main(std::size_t wi) {
       barrier_->arrive_and_wait([&] { coordinator_round(coord, true); });
     } else {
       // Drain the network to a fixed point (anti-message cascades
-      // included).  Drain-until-quiet: a pass counts both delivered packets
-      // and packets the transport stack pushed back onto the wire
-      // (retransmissions of unacked data, reorder holdbacks); the network
-      // is only quiescent once a full pass moves nothing anywhere.  Every
-      // worker adds its count before it arrives, so the pass barrier's
-      // completion reads the whole pass and resets the sum for the next.
+      // included).  A pass is quiet when no worker published a packet
+      // during it: outbox flushes (sends, acks, retransmits) and packets
+      // the transport stack pushed back onto the wire (forced retransmits
+      // of unacked data, reorder holdbacks).  Drained packets do not count:
+      // a delivery that needs more traffic -- an anti-message, an ack, a
+      // retransmit -- publishes it in the same pass, and everything
+      // published before a pass barrier is drained in the pass after it.
+      // So a round whose work-phase traffic settles without a cascade
+      // needs one pass.  Every worker adds its count before it arrives, so
+      // the pass barrier's completion reads the whole pass and resets the
+      // sum for the next.
       do {
         // Publish own buffered sends before draining, and again after the
-        // flush (retransmits land in the outboxes): both are counted, so
-        // the pass loop cannot declare quiescence while a packet still
-        // sits in a producer buffer.  The explicit calls matter under
-        // fault injection, where ChannelStack::flush's release_held stops
-        // at the FaultyTransport decorator and never reaches the wire.
+        // flush (acks and retransmits land in the outboxes).  The explicit
+        // calls matter under fault injection, where ChannelStack::flush's
+        // release_held stops at the FaultyTransport decorator and never
+        // reaches the wire.
         std::size_t n = flush_outboxes(wi);
-        n += drain_own_mailbox(wi);
+        drain_own_mailbox(wi);
         n += net_->flush(static_cast<std::uint32_t>(wi), now(wi));
         n += flush_outboxes(wi);
-        drained_in_pass_.fetch_add(n, std::memory_order_relaxed);
+        published_in_pass_.fetch_add(n, std::memory_order_relaxed);
         barrier_->arrive_and_wait([&] {
           pass_empty_ =
-              drained_in_pass_.exchange(0, std::memory_order_relaxed) == 0;
+              published_in_pass_.exchange(0, std::memory_order_relaxed) == 0;
           if (pass_empty_) coordinator_round(coord, false);
         });
       } while (!pass_empty_);
-      // Each worker sweeps its own dirty LPs as its own adaptation scope;
-      // for any other LP the visit is a no-op, so the sweep costs
-      // O(activity), not O(owned).  A stopping round commits everything.
+      // Each worker sweeps its own dirty and due LPs as its own adaptation
+      // scope; for any other LP the visit is a no-op, so the sweep costs
+      // O(activity + commits), not O(owned).  A stopping round commits
+      // everything.
       ThreadedRouter router(*this, wi);
       settle_credits(w.ready);
+      const VirtualTime gvt =
+          done_.load(std::memory_order_acquire) ? kTimeInf : safe_bound_;
+      w.ready.take_due(gvt);
       w.ready.take_dirty(w.sweep);
-      sweep(w.sweep, w.ready.size(),
-            done_.load(std::memory_order_acquire) ? kTimeInf : safe_bound_,
-            router, [&](LpId) { return SweepTarget{w.ready, true}; });
+      sweep(w.sweep, w.ready.size(), gvt, router,
+            [&](LpId) { return SweepTarget{w.ready, true}; });
       // The end barrier: every sweep finished, so a due rebalance can move
       // any LP; releasing the workers publishes the new mapping to their
       // routers.

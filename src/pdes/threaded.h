@@ -7,7 +7,10 @@
 // drains its inbox with a single atomic exchange.  GVT uses barrier rounds
 // with full network draining, which is exact in shared memory: between the
 // first and last barrier of a round no worker sends new work, so the
-// drained state contains every in-flight message.  The barrier
+// drained state contains every in-flight message.  A drain pass ends the
+// drain when no worker published a packet during it (drained packets do
+// not count: a delivery that needs more traffic publishes it), so a round
+// without an anti-message cascade needs one pass.  The barrier
 // (round_barrier.h) spins briefly before it parks, and the steps that need
 // every other worker held -- the drain-pass reduction, GVT, the verdict,
 // checkpoint, recovery, rebalance -- run as completions of the barriers
@@ -115,10 +118,10 @@ class ThreadedEngine : public EngineCore {
   /// worker without parked LPs forces a round only when this reaches the
   /// worker count: until then a busy worker's rounds advance GVT for it.
   std::atomic<std::size_t> idle_workers_{0};
-  /// Packets moved in the current drain pass, summed over the workers.
-  std::atomic<std::uint64_t> drained_in_pass_{0};
-  /// The last drain pass moved nothing; written by the pass barrier's
-  /// completion, read by every worker after it.
+  /// Packets published in the current drain pass, summed over the workers.
+  std::atomic<std::uint64_t> published_in_pass_{0};
+  /// No worker published a packet in the last drain pass; written by the
+  /// pass barrier's completion, read by every worker after it.
   bool pass_empty_ = false;
   std::optional<DeadlockReport> deadlock_report_;
   std::chrono::steady_clock::time_point trace_epoch_;
