@@ -15,11 +15,14 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DVSIM_SANITIZE= \
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "==> Contention: round barrier and threaded engine beside a CPU hog"
+echo "==> Contention: round barrier, threaded and distributed engines beside a CPU hog"
 # The threaded engine's round barrier spins for a few microseconds before it
 # parks, and load is what can break a spin: a waiter burning the core its
 # late partner needs.  So the barrier's tests, the threaded suite and the
-# threaded crash-recovery rows run again next to three busy-loop processes.
+# threaded crash-recovery rows run again next to three busy-loop processes,
+# and so do the fault-free distributed rows and the distributed seed sweep:
+# their ranks keep executing through open GVT cuts, so a slow rank delays
+# reports instead of stopping everyone, and load is what stretches that.
 # Each hog is bounded by `timeout` and killed by PID when the step ends.
 hog_pids=()
 stop_hogs() {
@@ -35,6 +38,8 @@ done
 ./build/tests/test_round_barrier
 ./build/tests/test_threaded
 ./build/tests/test_checkpoint --gtest_filter='CheckpointThreaded.*'
+./build/tests/test_distributed --gtest_filter='Distributed.FourRankSocketRunMatchesOracle:Distributed.NativeCodegenFourRankMatchesOracle'
+./build/tests/test_distributed_sweep
 stop_hogs
 trap - EXIT
 
@@ -56,8 +61,11 @@ echo "==> Distributed smoke: 4-rank UDS mesh vs oracle + SIGKILL recovery"
 # must still match the oracle now that recovery resets the channel stack
 # and the fault RNGs run on instead of rewinding, and a transient socket
 # disconnect must heal without loss -- the reconnect case that keeps the
-# reliable layer on the socket mesh.
+# reliable layer on the socket mesh.  The seed sweep runs the asynchronous
+# GVT cuts over 12 random netlists and the IIR under kDynamic,
+# all-optimistic and all-conservative, each against the oracle.
 ./build/tests/test_distributed --gtest_filter='Distributed.FourRankSocketRunMatchesOracle:Distributed.SigkilledRankRecoversToOracle:Distributed.CoordinatorKillRecoversToOracle:Distributed.ChaosPlusKillStillMatchesOracle:Distributed.TransientDisconnectHealsWithoutLoss'
+./build/tests/test_distributed_sweep
 
 echo "==> Codegen smoke: native backend bit-identical to the interpreter"
 # The ctest sweep above already ran these rows; the named gate keeps the

@@ -58,6 +58,8 @@ const char* metric_name(Metric m) {
     case Metric::kAdaptDeferrals: return "adapt.deferrals";
     case Metric::kRoundLpVisits: return "engine.round_lp_visits";
     case Metric::kRoundBarriers: return "engine.round_barriers";
+    case Metric::kCutEvents: return "engine.cut_events";
+    case Metric::kStopRounds: return "engine.stop_rounds";
     case Metric::kCount: break;
   }
   return "unknown";

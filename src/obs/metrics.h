@@ -101,6 +101,13 @@ enum class Metric : std::uint16_t {
   /// engine): the stop barrier, one per drain pass and the end barrier of
   /// every GVT round.
   kRoundBarriers,
+  /// engine.cut_events — events the distributed ranks processed while an
+  /// asynchronous GVT cut was open (between a rank's cut and its report):
+  /// the work a stop-the-world round would have held back.
+  kCutEvents,
+  /// engine.stop_rounds — distributed GVT rounds that stopped every rank
+  /// to drain the network: only checkpoint captures under fault tolerance.
+  kStopRounds,
   kCount
 };
 

@@ -26,12 +26,16 @@ namespace {
 /// Events processed per scheduler iteration between socket pumps; same
 /// rationale (and value) as the threaded engine's slice.
 constexpr std::uint32_t kEventSlice = 16;
+/// How many GVT intervals a rank may run past the last GVT it applied.
+constexpr std::uint32_t kMaxLagIntervals = 2;
 /// Consecutive empty iterations before a rank asks for / starts a round.
-constexpr std::uint32_t kIdleSpinRound = 16;
-/// Bound on the in-pass flush wait (ms).  Correctness never depends on it:
-/// an unflushed link just makes the pass vote non-quiescent and the
+constexpr std::uint32_t kIdleSpinRound = 2;
+/// Bound on the stop-drain flush wait (ms).  Correctness never depends on
+/// it: an unflushed link just makes the pass vote non-quiescent and the
 /// coordinator issues another pass.
 constexpr std::int64_t kDrainFlushBudgetMs = 50;
+/// Events per kCommit frame of a rank's commit tail.
+constexpr std::uint64_t kTailFrameEvents = 4096;
 /// Epoch layout: (term << kEpochSeqBits) | seq.  Ordinary recoveries bump
 /// the sequence; a coordinator promotion bumps the term past every epoch
 /// the promoting rank has seen, fencing stale control traffic for good.
@@ -143,6 +147,20 @@ void encode_transport_error(bytes::Writer& w, const TransportError& err) {
   w.u64(err.seq);
   w.u32(err.attempts);
   w.str(err.message);
+}
+
+void encode_counts(bytes::Writer& w, const std::vector<std::uint64_t>& c) {
+  w.u64(c.size());
+  for (const std::uint64_t n : c) w.u64(n);
+}
+
+std::vector<std::uint64_t> decode_counts(bytes::Reader& r,
+                                         std::uint32_t max_size) {
+  const std::uint64_t n = r.u64();
+  std::vector<std::uint64_t> c;
+  if (n > max_size) return c;
+  for (std::uint64_t i = 0; r.ok() && i < n; ++i) c.push_back(r.u64());
+  return c;
 }
 
 TransportError decode_transport_error(bytes::Reader& r) {
@@ -298,10 +316,12 @@ class DistributedEngine::DistRouter final : public Router {
     const std::uint32_t owner = eng_.partition_[ev.dst];
     eng_.count_send(eng_.self_.stats, 0, owner == eng_.rank_,
                     ev.kind == kNullMsgKind);
-    if (owner == eng_.rank_)
+    if (owner == eng_.rank_) {
       eng_.deliver(eng_.self_, std::move(ev), *this);
-    else
+    } else {
+      eng_.cut_.note_send(ev.ts);
       eng_.net_->send(eng_.rank_, owner, std::move(ev), eng_.nowd());
+    }
   }
 
   void commit(const Event& ev) override { eng_.commit(ev); }
@@ -486,6 +506,13 @@ void DistributedEngine::on_frame(std::uint32_t src, const net::FrameView& v) {
     bytes::Reader r(v.data, v.size);
     Packet pkt;
     if (!net::decode_packet(r, &pkt) || !r.exhausted()) return;
+    if (in_round_ && !voting_) {
+      // Parked by a stop drain and between votes: a later pass delivers
+      // this, or -- after the final pass, when only a rank that already
+      // captured and resumed can be sending -- the capture comes first.
+      held_data_.push_back(std::move(pkt));
+      return;
+    }
     net_->on_wire_delivery(std::move(pkt), nowd());
     got_data_ = true;
     return;
@@ -519,6 +546,9 @@ void DistributedEngine::apply_restore(const Checkpoint& ck) {
   // frames from ever reaching the reset stack.
   net_->reset();
   for (auto& buf : commit_buf_) buf.clear();
+  held_data_.clear();  // frames of the abandoned timeline
+  cut_.reset();
+  phase_ = Phase::kIdle;
   // Everything belonging to rounds past the restore point is from the
   // abandoned timeline: partial assemblies, retained commit batches, and
   // (crucially) spilled snapshots a later succession could restore from.
@@ -815,12 +845,21 @@ void DistributedEngine::main_loop() {
     }
 
     if (in_round_ || recovering_) continue;
+    cut_step();
 
     bool processed = false;
     DistRouter router(*this);
-    for (std::uint32_t slice = 0; slice < kEventSlice; ++slice) {
+    // Bounded lag: a rank runs at most kMaxLagIntervals GVT intervals past
+    // the last GVT it applied.  A healthy round closes well inside that; a
+    // stalled one (a peer died and is not yet detected) holds the rank
+    // instead of letting it speculate without bound.
+    const std::uint64_t lag_cap =
+        std::uint64_t{kMaxLagIntervals} * config_.gvt_interval;
+    for (std::uint32_t slice = 0;
+         slice < kEventSlice && self_.events_since_round < lag_cap; ++slice) {
       if (!try_process_one(self_, router)) break;
       processed = true;
+      if (cut_.is_open()) metrics_.shard(0).inc(obs::Metric::kCutEvents);
       if (ft_on_ && crash_.fire(rank_, self_.stats.events)) {
         // Crash-stop: vanish without flushing anything, as SIGKILL would.
         ::raise(SIGKILL);
@@ -835,20 +874,7 @@ void DistributedEngine::main_loop() {
     }
 
     if (rank_ == coord_) {
-      // Time-based fallback: even if activity accounting keeps the spin
-      // counter low, a round every ~50ms guarantees GVT (and termination
-      // detection) always advances on a quiet cluster.
-      const bool want_round = round_req_ || net_->error().has_value() ||
-                              remote_transport_error_.has_value() ||
-                              self_.events_since_round >= config_.gvt_interval ||
-                              idle_spins_ >= kIdleSpinRound ||
-                              net::now_ms() >= last_round_ms_ + 50;
-      if (want_round) {
-        idle_spins_ = 0;
-        const bool keep_going = coordinator_round();
-        last_round_ms_ = net::now_ms();
-        if (!keep_going) break;
-      }
+      if (!coordinator_step()) break;
     } else if (!round_req_sent_ &&
                (self_.events_since_round >= config_.gvt_interval ||
                 idle_spins_ == kIdleSpinRound)) {
@@ -909,9 +935,11 @@ void DistributedEngine::promote_self() {
   // round number at or below one the old regime might have released.
   gvt_rounds_ = std::max(gvt_rounds_, max_round_seen_);
   in_round_ = false;
+  release_held_data();
   recovering_ = false;
   round_req_sent_ = false;
-  collecting_ = false;
+  phase_ = Phase::kIdle;
+  cut_.reset();
   round_req_ = false;
   // Output-commit handoff: re-emit every batch this successor retained.
   // The supervisor dedups by round, so batches the old coordinator already
@@ -951,16 +979,9 @@ void DistributedEngine::rank_handle(const ControlMsg& m) {
   }
   if (m.epoch != epoch_) return;  // stale control from before a recovery
   switch (m.type) {
-    case FrameType::kDrain: {
-      bytes::Reader r(m.payload.data(), m.payload.size());
-      const std::uint64_t round = r.u64();
-      const std::uint32_t pass = r.u32();
-      if (!r.ok()) return;
-      note_round(round);
-      in_round_ = true;
-      rank_drain_pass(round, pass);
+    case FrameType::kDrain:
+      rank_drain(m);
       break;
-    }
     case FrameType::kGvtSet:
       rank_apply_gvt(m);
       break;
@@ -987,6 +1008,8 @@ DistributedEngine::DrainVote DistributedEngine::drain_vote() {
   // and forcing into a reconnecting link would spend the whole budget on
   // one outage.  With a link down, the pass simply votes non-quiescent and
   // the coordinator keeps draining.
+  voting_ = true;
+  release_held_data();
   if (force_flush_drain() && node_->all_links_up())
     net_->flush(rank_, nowd());
   else
@@ -994,34 +1017,50 @@ DistributedEngine::DrainVote DistributedEngine::drain_vote() {
   const std::int64_t deadline = net::now_ms() + kDrainFlushBudgetMs;
   while (!node_->all_flushed() && net::now_ms() < deadline) pump_io(1);
   pump_io(0);
+  voting_ = false;
 
   DrainVote v;
   v.got = true;
   v.error = net_->error().has_value();
   v.quiescent = v.error || (net_->quiescent() && node_->all_flushed());
-  const net::NodeCounters& nc = node_->counters();
-  v.activity = nc.data_frames_sent + nc.data_frames_recv;
   v.local_min = self_.ready.min_key();
   v.events = self_.stats.events;
+  v.sent = net_->sent_counts(rank_);
+  v.delivered = net_->delivered_counts(rank_);
   return v;
 }
 
-void DistributedEngine::rank_drain_pass(std::uint64_t round,
-                                        std::uint32_t pass) {
-  const DrainVote v = drain_vote();
+void DistributedEngine::cut_step() {
+  if (!cut_.whites_in(*net_, rank_)) return;
+  DrainVote v;
+  v.got = true;
+  v.error = net_->error().has_value();
+  v.local_min = cut_.report(self_.ready.min_key());
+  v.events = self_.stats.events;
+  if (rank_ == coord_)
+    votes_[rank_] = std::move(v);
+  else
+    send_vote(cut_round_, Phase::kReport, 0, v, /*snapshot=*/true);
+}
+
+void DistributedEngine::send_vote(std::uint64_t round, Phase wave,
+                                  std::uint32_t pass, const DrainVote& v,
+                                  bool snapshot) {
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
   w.u64(round);
+  w.u8(static_cast<std::uint8_t>(wave));
   w.u32(pass);
   w.u8(v.quiescent ? 1 : 0);
   w.u8(v.error ? 1 : 0);
-  w.u64(v.activity);
   w.vt(v.local_min);
   w.u64(v.events);
-  if (pass == 0) {
-    // Piggyback a metrics snapshot on the first pass of every round: the
-    // coordinator keeps the latest per rank, so observability survives the
-    // rank dying later.
+  encode_counts(w, v.sent);
+  encode_counts(w, v.delivered);
+  if (snapshot) {
+    // Piggyback a metrics snapshot on every GVT report: the coordinator
+    // keeps the latest per rank, so observability survives the rank dying
+    // later.
     metrics_.merge();
     std::vector<std::uint8_t> snap;
     bytes::Writer sw(snap);
@@ -1032,6 +1071,38 @@ void DistributedEngine::rank_drain_pass(std::uint64_t round,
     w.u8(0);
   }
   node_->send(coord_, net::FrameType::kDrainAck, p);
+}
+
+void DistributedEngine::rank_drain(const ControlMsg& m) {
+  bytes::Reader r(m.payload.data(), m.payload.size());
+  const std::uint64_t round = r.u64();
+  const auto wave = static_cast<Phase>(r.u8());
+  const std::uint32_t pass = r.u32();
+  if (!r.ok()) return;
+  note_round(round);
+  switch (wave) {
+    case Phase::kCut: {
+      // Wave 1: take the white counts and keep executing.
+      cut_round_ = round;
+      DrainVote v;
+      v.sent = cut_.open(*net_, rank_);
+      send_vote(round, wave, 0, v, false);
+      break;
+    }
+    case Phase::kReport: {
+      std::vector<std::uint64_t> targets = decode_counts(r, nranks_);
+      if (!r.ok() || round != cut_round_ || !cut_.is_open()) return;
+      cut_.set_targets(std::move(targets));
+      cut_step();
+      break;
+    }
+    case Phase::kStop:
+      in_round_ = true;  // parked until this round's kGvtSet
+      send_vote(round, wave, pass, drain_vote(), false);
+      break;
+    case Phase::kIdle:
+      break;
+  }
 }
 
 void DistributedEngine::rank_apply_gvt(const ControlMsg& m) {
@@ -1045,8 +1116,15 @@ void DistributedEngine::rank_apply_gvt(const ControlMsg& m) {
   note_progress(gvt);
   note_round(round);
   store_relaxed(dump_rounds_, round);
-  if (stop) rank_finish(false);
+  if (stop) rank_finish();
   apply_gvt_local(round, gvt, ckpt_due);
+  release_held_data();
+}
+
+void DistributedEngine::release_held_data() {
+  for (Packet& pkt : held_data_) net_->on_wire_delivery(std::move(pkt), nowd());
+  got_data_ = got_data_ || !held_data_.empty();
+  held_data_.clear();
 }
 
 void DistributedEngine::rank_apply_recover(const ControlMsg& m) {
@@ -1150,16 +1228,6 @@ void DistributedEngine::rank_send_stats() {
   // Blocked-LP diagnostics for the coordinator's deadlock report: its own
   // copies of our LPs stopped updating at the fork.
   encode_diag(w, deadlock_report(safe_bound_, rank_).blocked);
-  std::uint64_t ncommits = 0;
-  if (hook_)
-    for (const LpId lp : owned_) ncommits += commit_buf_[lp].size();
-  w.u64(ncommits);
-  if (hook_) {
-    for (const LpId lp : owned_) {
-      for (const Event& ev : commit_buf_[lp]) encode_event(w, ev);
-      commit_buf_[lp].clear();
-    }
-  }
   std::vector<std::uint8_t> snap;
   bytes::Writer sw(snap);
   obs::encode_snapshot(sw, metrics_.merged());
@@ -1167,15 +1235,20 @@ void DistributedEngine::rank_send_stats() {
   node_->send(coord_, net::FrameType::kStats, p);
 }
 
-void DistributedEngine::rank_finish(bool failed) {
-  if (!failed) {
-    DistRouter router(*this);
-    for (const LpId lp : owned_) lps_[lp].fossil_collect(kTimeInf, router);
-  }
+void DistributedEngine::rank_finish() {
+  DistRouter router(*this);
+  for (const LpId lp : owned_) lps_[lp].fossil_collect(kTimeInf, router);
+  // The commit tail skips the coordinator.  The coordinator piped every
+  // held round batch before it sent the stop order, and the supervisor
+  // drains its pipes in rank order with the coordinator lowest, so the
+  // tail lands after every batch that precedes it.  kStats goes out only
+  // once the tail sits in the pipe: the coordinator's kFinal, which lets
+  // the supervisor stop reading, waits for it.
+  pipe_commit_batch(0, commit_buf_, true);
   rank_send_stats();
   const std::int64_t deadline = net::now_ms() + 1000;
   while (!node_->all_flushed() && net::now_ms() < deadline) pump_io(1);
-  _exit(failed ? 2 : 0);
+  _exit(0);
 }
 
 void DistributedEngine::rank_abort_transport(const TransportError& err) {
@@ -1210,13 +1283,15 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
       if (m.epoch != epoch_ || m.src >= nranks_ || retired_[m.src]) break;
       bytes::Reader r(m.payload.data(), m.payload.size());
       const std::uint64_t round = r.u64();
+      const auto wave = static_cast<Phase>(r.u8());
       const std::uint32_t pass = r.u32();
       DrainVote v;
       v.quiescent = r.u8() != 0;
       v.error = r.u8() != 0;
-      v.activity = r.u64();
       v.local_min = r.vt();
       v.events = r.u64();
+      v.sent = decode_counts(r, nranks_);
+      v.delivered = decode_counts(r, nranks_);
       const bool has_snap = r.u8() != 0;
       if (has_snap) {
         bytes::Reader sr = r.sub();
@@ -1227,9 +1302,10 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
         }
       }
       if (!r.ok()) break;
-      if (round == gvt_rounds_ && pass == cur_pass_ && collecting_) {
+      if (phase_ != Phase::kIdle && wave == phase_ && round == gvt_rounds_ &&
+          pass == cur_pass_) {
         v.got = true;
-        votes_[m.src] = v;
+        votes_[m.src] = std::move(v);
       }
       break;
     }
@@ -1276,11 +1352,6 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
       const TransportCounters tc = decode_transport_counters(r);
       std::vector<DeadlockReport::LpDiag> diag;
       decode_diag(r, &diag);
-      const std::uint64_t ncommits = r.u64();
-      std::vector<Event> commits;
-      commits.reserve(static_cast<std::size_t>(ncommits));
-      for (std::uint64_t i = 0; r.ok() && i < ncommits; ++i)
-        commits.push_back(decode_event(r));
       bytes::Reader sr = r.sub();
       obs::MetricsSnapshot snap;
       const bool snap_ok = r.ok() && obs::decode_snapshot(sr, &snap);
@@ -1295,8 +1366,6 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
       // the source rank and its receive-side rows on the destination rank.
       remote_transport_ += tc;
       remote_diag_.insert(remote_diag_.end(), diag.begin(), diag.end());
-      if (hook_ && !commits.empty())
-        final_commits_.push_back(std::move(commits));
       if (snap_ok) {
         rank_snapshots_[m.src] = std::move(snap);
         rank_snapshot_got_[m.src] = true;
@@ -1318,12 +1387,14 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
   }
 }
 
+bool DistributedEngine::votes_in() const {
+  for (std::uint32_t r = 0; r < nranks_; ++r)
+    if (!retired_[r] && !votes_[r].got) return false;
+  return true;
+}
+
 DistributedEngine::Wait DistributedEngine::coordinator_collect_votes() {
-  for (;;) {
-    bool all = true;
-    for (std::uint32_t r = 0; r < nranks_; ++r)
-      if (!retired_[r] && !votes_[r].got) all = false;
-    if (all) return Wait::kOk;
+  while (!votes_in()) {
     pump_io(1);
     while (!ctrl_.empty()) {
       ControlMsg m = std::move(ctrl_.front());
@@ -1332,65 +1403,105 @@ DistributedEngine::Wait DistributedEngine::coordinator_collect_votes() {
     }
     if (check_deaths()) return Wait::kDied;
   }
+  return Wait::kOk;
 }
 
-bool DistributedEngine::coordinator_round() {
+std::vector<std::uint8_t> DistributedEngine::drain_payload(
+    std::uint64_t round, Phase wave, std::uint32_t pass) {
+  std::vector<std::uint8_t> p;
+  bytes::Writer w(p);
+  w.u64(round);
+  w.u8(static_cast<std::uint8_t>(wave));
+  w.u32(pass);
+  return p;
+}
+
+bool DistributedEngine::coordinator_step() {
+  // A failed transport may never deliver the whites a report waits for:
+  // close the round now, and RoundGate stops the run.
+  if (phase_ != Phase::kIdle &&
+      (net_->error().has_value() || remote_transport_error_.has_value()))
+    return close_round();
+  switch (phase_) {
+    case Phase::kIdle: {
+      // Time-based fallback: even if activity accounting keeps the spin
+      // counter low, a round every ~50ms guarantees GVT (and termination
+      // detection) always advances on a quiet cluster.
+      const bool want_round = round_req_ || net_->error().has_value() ||
+                              remote_transport_error_.has_value() ||
+                              self_.events_since_round >= config_.gvt_interval ||
+                              idle_spins_ >= kIdleSpinRound ||
+                              net::now_ms() >= last_round_ms_ + 50;
+      if (want_round) open_round();
+      return true;
+    }
+    case Phase::kCut: {
+      if (!votes_in()) return true;
+      // Every cut is in: rank d must take delivery of sent[s][d] white
+      // packets from every s before it reports.
+      std::vector<std::vector<std::uint64_t>> sent(nranks_);
+      for (std::uint32_t r = 0; r < nranks_; ++r)
+        if (!retired_[r]) sent[r] = std::move(votes_[r].sent);
+      for (auto& v : votes_) v = DrainVote{};
+      phase_ = Phase::kReport;
+      for (std::uint32_t r = 0; r < nranks_; ++r) {
+        if (retired_[r]) continue;
+        std::vector<std::uint64_t> targets = GvtCut::white_targets(sent, r);
+        if (r == rank_) {
+          cut_.set_targets(std::move(targets));
+          continue;
+        }
+        std::vector<std::uint8_t> p = drain_payload(gvt_rounds_,
+                                                    Phase::kReport, 0);
+        bytes::Writer w(p);
+        encode_counts(w, targets);
+        node_->send(r, net::FrameType::kDrain, p);
+      }
+      cut_step();
+      return true;
+    }
+    case Phase::kReport:
+      cut_step();
+      return votes_in() ? close_round() : true;
+    case Phase::kStop:
+      break;  // stop drains run to completion inside close_round()
+  }
+  return true;
+}
+
+void DistributedEngine::open_round() {
+  idle_spins_ = 0;
   ++gvt_rounds_;
   gate_.begin_round();
   note_round(gvt_rounds_);
   round_req_ = false;
   metrics_.shard(0).inc(obs::Metric::kGvtRounds);
   store_relaxed(dump_rounds_, gvt_rounds_);
-  const std::uint64_t round = gvt_rounds_;
+  for (auto& v : votes_) v = DrainVote{};
+  phase_ = Phase::kCut;
+  cur_pass_ = 0;
+  cut_round_ = gvt_rounds_;
+  votes_[rank_].got = true;
+  votes_[rank_].sent = cut_.open(*net_, rank_);
+  broadcast(net::FrameType::kDrain,
+            drain_payload(gvt_rounds_, Phase::kCut, 0));
+}
 
-  bool prev_all_quiescent = false;
-  std::uint64_t prev_activity = 0;
+bool DistributedEngine::close_round() {
+  const std::uint64_t round = gvt_rounds_;
   VirtualTime gvt = kTimeInf;
   bool vote_error = false;
   std::uint64_t total_events = 0;
-  collecting_ = true;
-  for (cur_pass_ = 0;; ++cur_pass_) {
-    for (auto& v : votes_) v = DrainVote{};
-    std::vector<std::uint8_t> p;
-    bytes::Writer w(p);
-    w.u64(round);
-    w.u32(cur_pass_);
-    broadcast(net::FrameType::kDrain, p);
-
-    votes_[rank_] = drain_vote();  // exactly as the ranks compute theirs
-    if (coordinator_collect_votes() == Wait::kDied) {
-      collecting_ = false;
-      return coordinator_recover();  // round abandoned either way
-    }
-
-    bool all_quiescent = true;
-    std::uint64_t activity = 0;
-    gvt = kTimeInf;
-    vote_error = false;
-    total_events = 0;
-    for (std::uint32_t r = 0; r < nranks_; ++r) {
-      if (retired_[r]) continue;
-      const DrainVote& v = votes_[r];
-      all_quiescent = all_quiescent && v.quiescent;
-      vote_error = vote_error || v.error;
-      activity += v.activity;
-      gvt = std::min(gvt, v.local_min);
-      total_events += v.events;
-    }
-    if (vote_error || remote_transport_error_) break;
-    // Quiet rule: two consecutive all-quiescent passes with the summed
-    // data-frame counters unchanged in between.  The counters are monotone,
-    // so an unchanged sum means no rank's counter moved; and because pass
-    // p's broadcast happens only after every pass p-1 vote arrived, any
-    // frame in flight at pass p-1 would have landed (and counted) by pass
-    // p.  The only traffic that can still be in flight at quiet is a
-    // duplicate cumulative ack -- a state no-op by construction.
-    if (all_quiescent && prev_all_quiescent && activity == prev_activity)
-      break;
-    prev_all_quiescent = all_quiescent;
-    prev_activity = activity;
+  for (std::uint32_t r = 0; r < nranks_; ++r) {
+    if (retired_[r]) continue;
+    const DrainVote& v = votes_[r];
+    vote_error = vote_error || v.error;
+    gvt = std::min(gvt, v.local_min);
+    total_events += v.events;
   }
-  collecting_ = false;
+  phase_ = Phase::kIdle;
+  cut_.reset();  // a round closed early on an error may leave ours open
+  last_round_ms_ = net::now_ms();
 
   safe_bound_ = gvt;
   note_progress(gvt);
@@ -1398,8 +1509,20 @@ bool DistributedEngine::coordinator_round() {
                       remote_transport_error_.has_value();
   verdict_ = gate_.judge(gvt, total_events, transport_failed_);
   deadlocked_ = verdict_.deadlock;
-  const bool stop = verdict_.stop;
-  const bool ckpt_due = verdict_.checkpoint && !stop;
+  bool stop = verdict_.stop;
+  bool ckpt_due = verdict_.checkpoint && !stop;
+  if (ckpt_due) {
+    // The capture needs a quiescent network: stop every rank and drain.
+    // GVT stays the cut's, a valid (if older) lower bound.
+    bool error = false;
+    if (stop_drain(round, &error) == Wait::kDied) return coordinator_recover();
+    if (error || remote_transport_error_) {
+      transport_failed_ = true;
+      stop = true;
+      ckpt_due = false;
+    }
+  }
+  if (stop) release_held_batches();
 
   std::vector<std::uint8_t> p;
   bytes::Writer w(p);
@@ -1415,6 +1538,39 @@ bool DistributedEngine::coordinator_round() {
   apply_gvt_local(round, gvt, ckpt_due);
   metrics_.merge();
   return true;
+}
+
+DistributedEngine::Wait DistributedEngine::stop_drain(std::uint64_t round,
+                                                      bool* error) {
+  metrics_.shard(0).inc(obs::Metric::kStopRounds);
+  phase_ = Phase::kStop;
+  for (cur_pass_ = 0;; ++cur_pass_) {
+    for (auto& v : votes_) v = DrainVote{};
+    broadcast(net::FrameType::kDrain,
+              drain_payload(round, Phase::kStop, cur_pass_));
+    votes_[rank_] = drain_vote();  // exactly as the ranks compute theirs
+    if (coordinator_collect_votes() == Wait::kDied) {
+      phase_ = Phase::kIdle;
+      return Wait::kDied;
+    }
+    // One pass closes the drain: every rank parked before it voted, so
+    // balanced counts leave nothing in flight and nothing left to send.
+    bool quiet = true;
+    std::vector<std::vector<std::uint64_t>> sent(nranks_);
+    std::vector<std::vector<std::uint64_t>> delivered(nranks_);
+    for (std::uint32_t r = 0; r < nranks_; ++r) {
+      if (retired_[r]) continue;
+      const DrainVote& v = votes_[r];
+      quiet = quiet && v.quiescent;
+      *error = *error || v.error;
+      sent[r] = v.sent;
+      delivered[r] = v.delivered;
+    }
+    if (*error || remote_transport_error_) break;
+    if (quiet && GvtCut::balanced(sent, delivered)) break;
+  }
+  phase_ = Phase::kIdle;
+  return Wait::kOk;
 }
 
 // ---------------------------------------------------------------------------
@@ -1447,6 +1603,11 @@ void DistributedEngine::ckpt_capture_and_ship(std::uint64_t round,
   // new frontier, undo the speculative suffix without anti-messages, then
   // snapshot and fan our share of the cut out to every successor.
   DistRouter router(*this);
+  // The drain left nothing in flight; only an ack for a stale duplicate of
+  // an earlier pass's force-retransmission can still sit in a reorder
+  // holdback, so release it before checking.
+  net_->flush(rank_, nowd());
+  assert(net_->quiescent() && "checkpoints require a drained network");
   undo_speculation(owned_, gvt, router, [&](LpId lp) {
     self_.ready.update(lp, lps_[lp].next_ts());
   });
@@ -1571,6 +1732,17 @@ void DistributedEngine::ckpt_complete(std::uint64_t round) {
     w.u64(round);
     node_->send(coord_, net::FrameType::kCkptAck, p);
   }
+}
+
+void DistributedEngine::release_held_batches() {
+  if (!hook_) return;
+  for (auto& [round, batch] : unreleased_)
+    pipe_commit_batch(round, batch, false);
+  unreleased_.clear();
+  if (!failed_)
+    for (auto& [round, as] : pending_ck_)
+      pipe_commit_batch(round, as.commits, false);
+  pending_ck_.clear();
 }
 
 void DistributedEngine::try_release_batches() {
@@ -1758,10 +1930,17 @@ void DistributedEngine::abort_run() {
 }
 
 void DistributedEngine::coordinator_finish(RunStats& out) {
-  // Own final fossil collection (commits land in the buffers).
+  // Release every held batch that survived.  Ack-parked batches go out
+  // even on a failed run: those rounds are spilled on every successor, so
+  // the released prefix stays exactly the spill coverage a resume run will
+  // replay from.  The unvalidated tail (partial assemblies, the live
+  // buffers) is released only on success; every other rank pipes its own
+  // tail (rank_finish).
+  release_held_batches();
   if (!failed_) {
     DistRouter router(*this);
     for (const LpId lp : owned_) lps_[lp].fossil_collect(kTimeInf, router);
+    pipe_commit_batch(0, commit_buf_, true);
   }
 
   // Collect final stats from every live rank; the deadline covers a rank
@@ -1801,25 +1980,6 @@ void DistributedEngine::coordinator_finish(RunStats& out) {
   out.final_coordinator = rank_;
   out.final_epoch = epoch_;
 
-  // Release every buffered commit that survived.  Ack-parked batches go
-  // out even on a failed run: those rounds are spilled on every successor,
-  // so the released prefix stays exactly the spill coverage a resume run
-  // will replay from.  The unvalidated tail (partial assemblies, the live
-  // buffers, the shipped final buffers) is released only on success.
-  if (hook_) {
-    for (auto& [round, batch] : unreleased_)
-      pipe_commit_batch(round, batch, false);
-    unreleased_.clear();
-    if (!failed_) {
-      for (auto& [round, as] : pending_ck_)
-        pipe_commit_batch(round, as.commits, false);
-      pipe_commit_batch(0, commit_buf_, true);
-      for (auto& commits : final_commits_) pipe_commit_events(0, commits, true);
-    }
-    pending_ck_.clear();
-    final_commits_.clear();
-  }
-
   // Metrics: fold the socket-node totals into our shard, absorb the global
   // run totals, then merge the latest per-rank snapshots (dead ranks keep
   // their last piggybacked one).
@@ -1851,28 +2011,33 @@ void DistributedEngine::pipe_send(net::FrameType type,
   }
 }
 
-void DistributedEngine::pipe_commit_events(std::uint64_t round,
-                                           const std::vector<Event>& evs,
-                                           bool terminal) {
-  if (!hook_) return;
-  if (evs.empty() && !terminal) return;
-  std::vector<std::uint8_t> p;
-  bytes::Writer w(p);
-  w.u8(terminal ? 1 : 0);
-  w.u64(round);
-  w.u64(evs.size());
-  for (const Event& ev : evs) encode_event(w, ev);
-  pipe_send(net::FrameType::kCommit, p);
-}
-
 void DistributedEngine::pipe_commit_batch(
     std::uint64_t round, const std::vector<std::vector<Event>>& batch,
     bool terminal) {
   if (!hook_) return;
-  std::vector<Event> flat;
-  for (const auto& per_lp : batch)
-    flat.insert(flat.end(), per_lp.begin(), per_lp.end());
-  pipe_commit_events(round, flat, terminal);
+  // A round batch is one frame (the supervisor dedups by round); a tail,
+  // which always passes the dedup, goes out in frames of kTailFrameEvents:
+  // the supervisor decodes a frame only once all of it arrived, and every
+  // rank pipes its tail at the same time.
+  std::uint64_t left = 0;
+  for (const auto& per_lp : batch) left += per_lp.size();
+  std::vector<std::uint8_t> p;
+  std::uint64_t in_frame = 0;
+  for (const auto& per_lp : batch) {
+    for (const Event& ev : per_lp) {
+      bytes::Writer w(p);
+      if (in_frame == 0) {
+        in_frame = terminal ? std::min(left, kTailFrameEvents) : left;
+        left -= in_frame;
+        p.clear();
+        w.u8(terminal ? 1 : 0);
+        w.u64(round);
+        w.u64(in_frame);
+      }
+      encode_event(w, ev);
+      if (--in_frame == 0) pipe_send(net::FrameType::kCommit, p);
+    }
+  }
 }
 
 void DistributedEngine::pipe_final(const RunStats& st) {
@@ -1994,9 +2159,10 @@ void DistributedEngine::debug_dump(std::FILE* out) const {
   // run loop without atomics; these racy reads are for a watchdog's
   // post-mortem only.
   std::fprintf(out,
-               "  loop: in_round=%d collecting=%d pass=%u stopping=%d "
+               "  loop: in_round=%d phase=%d pass=%u cut_open=%d stopping=%d "
                "failed=%d quiescent=%d all_flushed=%d links_up=%d\n",
-               in_round_ ? 1 : 0, collecting_ ? 1 : 0, cur_pass_,
+               in_round_ ? 1 : 0, static_cast<int>(phase_), cur_pass_,
+               cut_.is_open() ? 1 : 0,
                stopping_ ? 1 : 0, failed_ ? 1 : 0,
                net_ && net_->quiescent() ? 1 : 0,
                node_ && node_->all_flushed() ? 1 : 0,

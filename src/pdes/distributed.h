@@ -27,13 +27,26 @@
 // the abandoned timeline away from the reset stack, and the fault RNGs of
 // a stacked FaultyTransport run on rather than rewinding.
 //
-// GVT uses the same drain-until-quiet protocol as the threaded engine,
-// driven by control frames instead of barriers: the coordinator broadcasts
-// kDrain passes and declares the network quiet only after two consecutive
-// passes in which every rank reported a quiescent channel stack and the
-// cluster-wide data-frame activity counters did not move.  The pass-p+1
-// broadcast happens only after every pass-p vote arrived, which gives the
-// cross-rank ordering that makes the two-pass rule sound without barriers.
+// GVT rounds are asynchronous two-wave cuts (Mattern) on the channel
+// stack's per-link sent/delivered counts (GvtCut, pdes/transport.h), and no
+// rank stops executing for one.  The coordinator broadcasts a kDrain cut:
+// every rank takes its per-link sent counts, starts noting the minimum
+// timestamp of every data packet it sends from then on, answers with the
+// counts and keeps processing events.  The coordinator transposes the counts
+// into each rank's white targets; a rank reports min(local minimum, red
+// minimum) as soon as every white packet addressed to it has been
+// delivered.  The minimum of the reports is GVT; RoundGate judges it and
+// kGvtSet is applied between event slices.  The coordinator runs its round
+// as a non-blocking step of its own event loop.  A rank runs at most two
+// GVT intervals past the last GVT it applied, so a round stalled by a peer
+// that died unnoticed holds the ranks instead of letting them speculate
+// without bound.
+//
+// Only a checkpoint capture needs a quiescent network.  Such a round stops
+// every rank with kDrain stop passes; a pass closes the drain when every
+// rank voted quiescent and every link's sent count equals its receiver's
+// delivered count (GvtCut::balanced).  Without fault tolerance no round
+// ever stops the world.
 //
 // Fault tolerance (DESIGN.md "Coordinator failover"): every rank fans its
 // share of each GVT-consistent checkpoint out to the *successor set* -- the
@@ -118,14 +131,25 @@ class DistributedEngine : public EngineCore {
     std::vector<std::uint8_t> payload;
   };
 
-  /// One drain-pass vote from a rank.
+  /// Where the coordinator's current GVT round stands; on the wire, the
+  /// kDrain/kDrainAck wave.
+  enum class Phase : std::uint8_t {
+    kIdle,    ///< no round open
+    kCut,     ///< wave 1: ranks open their cuts and return sent counts
+    kReport,  ///< wave 2: ranks have their white targets; GVT reports due
+    kStop,    ///< a checkpoint's stop-the-world drain pass
+  };
+
+  /// A rank's answer to one kDrain wave: its cut counts (kCut), its GVT
+  /// report (kReport) or its drain vote (kStop).
   struct DrainVote {
     bool got = false;
     bool quiescent = false;
     bool error = false;
-    std::uint64_t activity = 0;  ///< cumulative data frames sent + received
     VirtualTime local_min = kTimeInf;
     std::uint64_t events = 0;
+    std::vector<std::uint64_t> sent;       ///< per destination rank
+    std::vector<std::uint64_t> delivered;  ///< per source rank (kStop)
   };
 
   /// A global checkpoint being assembled from per-rank shares.  Every
@@ -145,10 +169,15 @@ class DistributedEngine : public EngineCore {
   std::size_t pump_io(int timeout_ms);
   /// Recomputes owned_ from partition_ and rebuilds the ready queue.
   void adopt_partition();
-  /// This rank's drain-pass vote (the ranks ship it, the coordinator keeps
-  /// its own): flush what we hold, then report quiescence and the local
-  /// GVT candidate.
+  /// This rank's stop-drain vote (the ranks ship it, the coordinator keeps
+  /// its own): flush what we hold, then report quiescence, the per-link
+  /// counts and the local GVT candidate.
   DrainVote drain_vote();
+  /// Wave 2 of an open cut: once every white packet addressed to this rank
+  /// has been delivered, report (ranks ship it, the coordinator keeps it).
+  void cut_step();
+  void send_vote(std::uint64_t round, Phase wave, std::uint32_t pass,
+                 const DrainVote& v, bool snapshot);
   /// Whether drains force-retransmit (and the retransmit timeout stays
   /// short): only when the wire can lose more than a reconnect does, with
   /// injected faults or with rank deaths possible.
@@ -179,10 +208,14 @@ class DistributedEngine : public EngineCore {
 
   // --- worker duties (rank_ != coord_) ---
   void rank_handle(const ControlMsg& m);
-  void rank_drain_pass(std::uint64_t round, std::uint32_t pass);
+  void rank_drain(const ControlMsg& m);
   void rank_apply_gvt(const ControlMsg& m);
+  /// Delivers the data frames held while parked between drain votes.
+  void release_held_data();
   void rank_apply_recover(const ControlMsg& m);
-  [[noreturn]] void rank_finish(bool ok);
+  /// The stop order: commit the rest, pipe this rank's commit tail straight
+  /// to the supervisor, then report stats to the coordinator.
+  [[noreturn]] void rank_finish();
   void rank_send_stats();
   [[noreturn]] void rank_abort_transport(const TransportError& err);
   /// Deterministic succession watch: promote when the coordinator AND every
@@ -194,13 +227,29 @@ class DistributedEngine : public EngineCore {
 
   // --- coordinator duties (rank_ == coord_) ---
   void coordinator_handle(const ControlMsg& m);
-  bool coordinator_round();  ///< false: stop the run
+  /// One non-blocking step of the round state machine: open a round when
+  /// one is wanted, hand out white targets once every cut is in, close the
+  /// round once every report is in.  False: stop the run.
+  bool coordinator_step();
+  void open_round();
+  bool close_round();  ///< false: stop the run
+  /// A checkpoint round's stop-the-world drain; sets `*error` on a
+  /// transport failure.
+  Wait stop_drain(std::uint64_t round, bool* error);
+  [[nodiscard]] bool votes_in() const;
   Wait coordinator_collect_votes();
+  /// A kDrain frame's header: round, wave, stop-drain pass.
+  static std::vector<std::uint8_t> drain_payload(std::uint64_t round,
+                                                 Phase wave,
+                                                 std::uint32_t pass);
   void apply_gvt_local(std::uint64_t round, VirtualTime gvt, bool ckpt_due);
   void ckpt_capture_and_ship(std::uint64_t round, VirtualTime gvt);
   void ckpt_ingest(std::uint32_t src, const ControlMsg& m);
   void ckpt_complete(std::uint64_t round);
   void try_release_batches();
+  /// Pipes every assembled batch still held, oldest round first: before
+  /// the stop order goes out, so no rank's commit tail can overtake one.
+  void release_held_batches();
   bool check_deaths();
   bool coordinator_recover();  ///< false: recovery failed, run is done
   /// Records the RecoveryError, then abort_run().
@@ -214,8 +263,6 @@ class DistributedEngine : public EngineCore {
 
   // --- result pipe (rank -> supervisor) and the supervisor itself ---
   void pipe_send(net::FrameType type, const std::vector<std::uint8_t>& p);
-  void pipe_commit_events(std::uint64_t round, const std::vector<Event>& evs,
-                          bool terminal);
   void pipe_commit_batch(std::uint64_t round,
                          const std::vector<std::vector<Event>>& batch,
                          bool terminal);
@@ -237,6 +284,11 @@ class DistributedEngine : public EngineCore {
   std::unique_ptr<net::SocketNode> node_;
   std::unique_ptr<net::SocketTransport> wire_;
   bool got_data_ = false;
+  /// A rank parked by a stop drain takes delivery only while it votes
+  /// (voting_); data arriving in between waits here for the next vote or,
+  /// after the final pass, for the checkpoint capture.
+  bool voting_ = false;
+  std::vector<Packet> held_data_;
 
   std::deque<ControlMsg> ctrl_;
   /// Recovery epoch: (term << kEpochSeqBits) | seq.  Ordinary recoveries
@@ -246,18 +298,20 @@ class DistributedEngine : public EngineCore {
   std::uint32_t max_epoch_seen_ = 0;
 
   // Scheduling.
-  bool in_round_ = false;
+  bool in_round_ = false;  ///< stopped for a checkpoint's drain
   bool recovering_ = false;
   bool round_req_sent_ = false;
   std::uint32_t idle_spins_ = 0;
+  GvtCut cut_;  ///< this rank's side of the open GVT cut
+  std::uint64_t cut_round_ = 0;
 
   // Coordinator round state.
   bool round_req_ = false;
   std::uint64_t max_round_seen_ = 0;  ///< keeps rounds monotone across takeover
   bool stopping_ = false;
   std::vector<DrainVote> votes_;
-  std::uint32_t cur_pass_ = 0;
-  bool collecting_ = false;  ///< a drain pass is awaiting votes
+  Phase phase_ = Phase::kIdle;
+  std::uint32_t cur_pass_ = 0;  ///< stop-drain pass (0 in async waves)
   std::int64_t last_round_ms_ = 0;
   std::vector<bool> recover_done_;
 
@@ -284,7 +338,6 @@ class DistributedEngine : public EngineCore {
   std::vector<obs::MetricsSnapshot> rank_snapshots_;
   std::vector<bool> rank_snapshot_got_;
   std::vector<DeadlockReport::LpDiag> remote_diag_;
-  std::vector<std::vector<Event>> final_commits_;
 
   // Child processes and result pipes (supervisor only; `pipe_w_` is the
   // forked rank's own write end).

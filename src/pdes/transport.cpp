@@ -1,6 +1,7 @@
 #include "pdes/transport.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 namespace vsim::pdes {
@@ -134,8 +135,9 @@ void ChannelStack::send(std::uint32_t from, std::uint32_t to, Event&& ev,
   pkt.src = from;
   pkt.dst = to;
   pkt.ev = std::move(ev);
+  const std::uint64_t seq = sl.next_seq++;
   if (reliable_) {
-    pkt.seq = sl.next_seq++;
+    pkt.seq = seq;
     InFlight f;
     f.pkt = pkt;  // keep a copy for retransmission
     f.rto = config_.rto;
@@ -166,7 +168,9 @@ void ChannelStack::on_wire_delivery(Packet&& pkt, double now) {
     return;
   }
   if (!reliable_) {
-    ++recv_link(pkt.src, pkt.dst).counters.delivered;
+    RecvLink& rl = recv_link(pkt.src, pkt.dst);
+    ++rl.expected;
+    ++rl.counters.delivered;
     if (deliver_) deliver_(pkt.dst, std::move(pkt.ev));
     return;
   }
@@ -272,6 +276,22 @@ bool ChannelStack::quiescent() const {
   return true;
 }
 
+std::vector<std::uint64_t> ChannelStack::sent_counts(
+    std::uint32_t worker) const {
+  std::vector<std::uint64_t> out(num_workers_);
+  for (std::uint32_t dst = 0; dst < num_workers_; ++dst)
+    out[dst] = sent_count(worker, dst);
+  return out;
+}
+
+std::vector<std::uint64_t> ChannelStack::delivered_counts(
+    std::uint32_t worker) const {
+  std::vector<std::uint64_t> out(num_workers_);
+  for (std::uint32_t src = 0; src < num_workers_; ++src)
+    out[src] = delivered_count(src, worker);
+  return out;
+}
+
 TransportCounters ChannelStack::counters() const {
   TransportCounters out;
   for (const SendLink& sl : send_links_) out += sl.counters;
@@ -296,6 +316,60 @@ void ChannelStack::reset() {
   }
   std::fill(ack_due_.begin(), ack_due_.end(), 0);
   if (faulty_ != nullptr) faulty_->reset();
+}
+
+// ---- GvtCut ----
+
+std::vector<std::uint64_t> GvtCut::open(const ChannelStack& net,
+                                        std::uint32_t self) {
+  open_ = true;
+  targeted_ = false;
+  red_min_ = kTimeInf;
+  return net.sent_counts(self);
+}
+
+void GvtCut::set_targets(std::vector<std::uint64_t> white_in) {
+  assert(open_);
+  targets_ = std::move(white_in);
+  targeted_ = true;
+}
+
+bool GvtCut::whites_in(const ChannelStack& net, std::uint32_t self) const {
+  if (!awaiting()) return false;
+  for (std::uint32_t src = 0; src < targets_.size(); ++src)
+    if (net.delivered_count(src, self) < targets_[src]) return false;
+  return true;
+}
+
+VirtualTime GvtCut::report(VirtualTime local_min) {
+  assert(awaiting());
+  open_ = targeted_ = false;
+  return std::min(local_min, red_min_);
+}
+
+void GvtCut::reset() {
+  open_ = targeted_ = false;
+  red_min_ = kTimeInf;
+}
+
+std::vector<std::uint64_t> GvtCut::white_targets(
+    const std::vector<std::vector<std::uint64_t>>& sent, std::uint32_t dst) {
+  std::vector<std::uint64_t> out(sent.size(), 0);
+  for (std::uint32_t src = 0; src < sent.size(); ++src)
+    if (dst < sent[src].size()) out[src] = sent[src][dst];
+  return out;
+}
+
+bool GvtCut::balanced(
+    const std::vector<std::vector<std::uint64_t>>& sent,
+    const std::vector<std::vector<std::uint64_t>>& delivered) {
+  for (std::uint32_t src = 0; src < sent.size(); ++src) {
+    for (std::uint32_t dst = 0; dst < delivered.size(); ++dst) {
+      if (src == dst || sent[src].empty() || delivered[dst].empty()) continue;
+      if (sent[src][dst] != delivered[dst][src]) return false;
+    }
+  }
+  return true;
 }
 
 void ChannelStack::set_error(TransportError err) {

@@ -245,6 +245,27 @@ class ChannelStack {
   /// (meaningful only after drain passes, i.e. inside a barrier).
   [[nodiscard]] bool quiescent() const;
 
+  /// Data packets `src` has sent on link src->dst (first transmissions),
+  /// and the packets that link has delivered in order to `dst` -- a
+  /// reorder-buffered or duplicate copy is not delivered.  Kept whether or
+  /// not seq/ack is composed (`next_seq - 1` and `expected - 1`); reset()
+  /// zeroes both.  Read on the link's own side: sent counts by the source,
+  /// delivered counts by the destination.
+  [[nodiscard]] std::uint64_t sent_count(std::uint32_t src,
+                                         std::uint32_t dst) const {
+    return send_links_[src * num_workers_ + dst].next_seq - 1;
+  }
+  [[nodiscard]] std::uint64_t delivered_count(std::uint32_t src,
+                                              std::uint32_t dst) const {
+    return recv_links_[src * num_workers_ + dst].expected - 1;
+  }
+  /// sent_count(worker, d) for every d; delivered_count(s, worker) for
+  /// every s.
+  [[nodiscard]] std::vector<std::uint64_t> sent_counts(
+      std::uint32_t worker) const;
+  [[nodiscard]] std::vector<std::uint64_t> delivered_counts(
+      std::uint32_t worker) const;
+
   /// Aggregated over all links; call after workers joined / in a barrier.
   [[nodiscard]] TransportCounters counters() const;
 
@@ -266,12 +287,12 @@ class ChannelStack {
     double rto = 0.0;
   };
   struct SendLink {
-    std::uint64_t next_seq = 1;
+    std::uint64_t next_seq = 1;  ///< also counts sends over a lossless wire
     std::deque<InFlight> in_flight;
     TransportCounters counters;
   };
   struct RecvLink {
-    std::uint64_t expected = 1;  ///< next in-order sequence
+    std::uint64_t expected = 1;  ///< next in-order sequence; counts always
     std::map<std::uint64_t, Event> reorder;
     TransportCounters counters;
   };
@@ -311,6 +332,68 @@ class ChannelStack {
   /// its counters join counters(), its holdbacks count against
   /// quiescent(), and reset() drops them.
   void attach_faulty(FaultyTransport* f) { faulty_ = f; }
+};
+
+/// One worker's side of an asynchronous two-wave GVT cut (Mattern), built
+/// on the ChannelStack's per-link counts.  Packets a worker sends before its
+/// cut are white, packets it sends after are red.
+///  * Wave 1 -- open(): the worker takes its per-link sent counts (how many
+///    white packets it put on each link) and from then on notes the
+///    timestamp of every data packet it sends: positive events,
+///    anti-messages and null messages alike (note_send()).  It keeps
+///    executing.
+///  * The coordinator transposes the gathered counts: worker `dst` must
+///    take delivery of sent[src][dst] white packets from every `src`
+///    (white_targets()).
+///  * Wave 2 -- once whites_in(), every white packet addressed to the
+///    worker has been delivered (links deliver in sequence order, so a
+///    delivered count at or past the target covers every white packet), and
+///    report() returns min(local minimum, minimum red send), closing the
+///    cut.
+/// The minimum over every worker's report never exceeds the true GVT: a
+/// white packet sits in its receiver's queue (or was processed) by the
+/// receiver's report; a red one sent before its sender's report is in that
+/// sender's red minimum; and after its report a worker's local minimum can
+/// only fall through a delivery covered the same way.
+class GvtCut {
+ public:
+  /// Wave 1: returns sent_count(self, d) for every d.
+  std::vector<std::uint64_t> open(const ChannelStack& net, std::uint32_t self);
+  /// Every data packet the worker hands to the wire (only the minimum since
+  /// the last open() is ever read).
+  void note_send(VirtualTime ts) {
+    if (ts < red_min_) red_min_ = ts;
+  }
+  /// Wave 2: how many white packets to expect from each source.
+  void set_targets(std::vector<std::uint64_t> white_in);
+  /// Open with targets: the cut waits for its whites and its report.
+  [[nodiscard]] bool awaiting() const { return open_ && targeted_; }
+  [[nodiscard]] bool is_open() const { return open_; }
+  /// Every white packet addressed to `self` has been delivered.
+  [[nodiscard]] bool whites_in(const ChannelStack& net,
+                               std::uint32_t self) const;
+  /// The worker's GVT report; closes the cut.  Precondition: whites_in().
+  VirtualTime report(VirtualTime local_min);
+  /// Recovery and promotion: an open cut belongs to an abandoned round.
+  void reset();
+
+  /// Wave-2 targets of `dst` from every worker's wave-1 counts (`sent[s]`
+  /// is empty for a worker that takes no part).
+  [[nodiscard]] static std::vector<std::uint64_t> white_targets(
+      const std::vector<std::vector<std::uint64_t>>& sent, std::uint32_t dst);
+  /// Stop-the-world close rule: with every worker stopped before it took
+  /// its counts, sent[s][d] == delivered[d][s] on every link means nothing
+  /// is in flight and nothing more will be sent (a send after a vote needs
+  /// a delivery after a vote, which balanced counts rule out).
+  [[nodiscard]] static bool balanced(
+      const std::vector<std::vector<std::uint64_t>>& sent,
+      const std::vector<std::vector<std::uint64_t>>& delivered);
+
+ private:
+  bool open_ = false;
+  bool targeted_ = false;
+  VirtualTime red_min_ = kTimeInf;
+  std::vector<std::uint64_t> targets_;
 };
 
 }  // namespace vsim::pdes

@@ -8,7 +8,9 @@
 // structured TransportError, never hang or silently corrupt.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <set>
 
 #include "circuits/builder.h"
 #include "circuits/fsm.h"
@@ -451,6 +453,216 @@ TEST(ChannelStackReset, ResetLeavesQuiescentFreshLinks) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[1], std::make_pair(1u, pdes::EventUid{31}));
   EXPECT_EQ(stack.flush_acks(1, 0.0), 1u);
+}
+
+// The per-link counts the distributed engine's GVT cuts compare: a send
+// counts at once, a delivery only once it is in order -- a reorder-buffered
+// packet and a duplicate copy never count -- over a lossy wire (seq/ack
+// composed) and a lossless one alike, and reset() zeroes both sides.
+struct PassWire final : pdes::Transport {
+  std::vector<pdes::Packet> sent;
+  void submit(pdes::Packet&& pkt, double) override {
+    sent.push_back(std::move(pkt));
+  }
+};
+
+TEST(ChannelStackCounts, OnlyInOrderDeliveriesCount) {
+  CaptureWire wire;
+  pdes::ChannelStack stack(wire, /*num_workers=*/2, pdes::TransportConfig{});
+  std::size_t delivered = 0;
+  stack.set_deliver([&](std::uint32_t, pdes::Event&&) { ++delivered; });
+  for (pdes::EventUid uid = 1; uid <= 3; ++uid) {
+    pdes::Packet p = data_packet(0, 1, 0, uid);
+    stack.send(0, 1, std::move(p.ev), 0.0);
+  }
+  EXPECT_EQ(stack.sent_count(0, 1), 3u);
+  EXPECT_EQ(stack.sent_count(1, 0), 0u);
+  EXPECT_EQ(stack.sent_counts(0), (std::vector<std::uint64_t>{0, 3}));
+
+  stack.on_wire_delivery(data_packet(0, 1, 3, 3), 0.0);  // buffered
+  stack.on_wire_delivery(data_packet(0, 1, 3, 3), 0.0);  // duplicate of it
+  EXPECT_EQ(stack.delivered_count(0, 1), 0u);
+  EXPECT_EQ(stack.counters().buffered, 1u);
+  stack.on_wire_delivery(data_packet(0, 1, 1, 1), 0.0);
+  EXPECT_EQ(stack.delivered_count(0, 1), 1u);
+  stack.on_wire_delivery(data_packet(0, 1, 1, 1), 0.0);  // stale duplicate
+  EXPECT_EQ(stack.delivered_count(0, 1), 1u);
+  stack.on_wire_delivery(data_packet(0, 1, 2, 2), 0.0);  // releases seq 3
+  EXPECT_EQ(stack.delivered_count(0, 1), 3u);
+  EXPECT_EQ(stack.delivered_counts(1), (std::vector<std::uint64_t>{3, 0}));
+  EXPECT_EQ(delivered, 3u);
+  EXPECT_EQ(stack.counters().dup_discarded, 2u);
+
+  stack.reset();
+  EXPECT_EQ(stack.sent_count(0, 1), 0u);
+  EXPECT_EQ(stack.delivered_count(0, 1), 0u);
+
+  // A lossless wire passes straight through, and still counts.
+  PassWire pass;
+  pdes::ChannelStack direct(pass, /*num_workers=*/2, pdes::TransportConfig{});
+  pdes::Packet p = data_packet(1, 0, 0, 9);
+  direct.send(1, 0, std::move(p.ev), 0.0);
+  ASSERT_EQ(pass.sent.size(), 1u);
+  EXPECT_EQ(pass.sent[0].seq, 0u);
+  EXPECT_EQ(direct.sent_count(1, 0), 1u);
+  EXPECT_EQ(direct.delivered_count(1, 0), 0u);
+  direct.on_wire_delivery(std::move(pass.sent[0]), 0.0);
+  EXPECT_EQ(direct.delivered_count(1, 0), 1u);
+  direct.reset();
+  EXPECT_EQ(direct.sent_count(1, 0), 0u);
+  EXPECT_EQ(direct.delivered_count(1, 0), 0u);
+}
+
+// Three workers over one ChannelStack whose wire the test delivers by
+// hand, each with a local event queue and a GvtCut: enough to replay the
+// distributed engine's two-wave cut against adversarial message timing and
+// compare its estimate with the true GVT (the minimum over every queue and
+// every packet still on the wire).
+class CutHarness {
+ public:
+  static constexpr std::uint32_t kWorkers = 3;
+
+  CutHarness() : stack_(wire_, kWorkers, pdes::TransportConfig{}) {
+    stack_.set_deliver([this](std::uint32_t w, pdes::Event&& ev) {
+      queue_[w].insert(ev.ts);
+    });
+  }
+
+  void enqueue(std::uint32_t w, PhysTime ts) { queue_[w].insert(vt(ts)); }
+  /// Worker `w` processes its earliest event.
+  void process(std::uint32_t w) { queue_[w].erase(queue_[w].begin()); }
+  /// A data packet: an event, a null message or an anti-message alike.
+  void send(std::uint32_t from, std::uint32_t to, PhysTime ts) {
+    cut_[from].note_send(vt(ts));
+    pdes::Event ev;
+    ev.ts = vt(ts);
+    ev.uid = ++uid_;
+    stack_.send(from, to, std::move(ev), 0.0);
+  }
+  /// Delivers the oldest packet still on the wire for link from->to.
+  void deliver(std::uint32_t from, std::uint32_t to) {
+    for (auto it = wire_.sent.begin(); it != wire_.sent.end(); ++it) {
+      if (it->src != from || it->dst != to) continue;
+      pdes::Packet pkt = std::move(*it);
+      wire_.sent.erase(it);
+      stack_.on_wire_delivery(std::move(pkt), 0.0);
+      return;
+    }
+    FAIL() << "nothing in flight on " << from << "->" << to;
+  }
+
+  /// Wave 1 on every worker, then the coordinator's transposition.
+  void open_cut() {
+    std::vector<std::vector<std::uint64_t>> sent(kWorkers);
+    for (std::uint32_t w = 0; w < kWorkers; ++w)
+      sent[w] = cut_[w].open(stack_, w);
+    for (std::uint32_t w = 0; w < kWorkers; ++w)
+      cut_[w].set_targets(pdes::GvtCut::white_targets(sent, w));
+  }
+  [[nodiscard]] bool whites_in(std::uint32_t w) const {
+    return cut_[w].whites_in(stack_, w);
+  }
+  /// Wave 2 for worker `w`; only legal once its whites are in.
+  void report(std::uint32_t w) {
+    ASSERT_TRUE(whites_in(w));
+    const VirtualTime local =
+        queue_[w].empty() ? kTimeInf : *queue_[w].begin();
+    estimate_ = std::min(estimate_, cut_[w].report(local));
+  }
+  [[nodiscard]] VirtualTime estimate() const { return estimate_; }
+  [[nodiscard]] VirtualTime true_gvt() const {
+    VirtualTime m = kTimeInf;
+    for (const auto& q : queue_)
+      if (!q.empty()) m = std::min(m, *q.begin());
+    for (const pdes::Packet& p : wire_.sent)
+      if (p.kind == pdes::Packet::Kind::kData) m = std::min(m, p.ev.ts);
+    return m;
+  }
+
+ private:
+  static VirtualTime vt(PhysTime ts) { return VirtualTime{ts, 0}; }
+
+  CaptureWire wire_;
+  pdes::ChannelStack stack_;
+  std::array<std::multiset<VirtualTime>, kWorkers> queue_;
+  std::array<pdes::GvtCut, kWorkers> cut_;
+  pdes::EventUid uid_ = 0;
+  VirtualTime estimate_ = kTimeInf;
+};
+
+// A white straggler delivered after its receiver's cut: the receiver must
+// not report until it lands, and then its report covers it.
+TEST(GvtCutArithmetic, WhiteStragglerHoldsTheReceiversReport) {
+  CutHarness h;
+  h.enqueue(0, 30);
+  h.enqueue(1, 20);
+  h.enqueue(2, 25);
+  h.send(0, 1, 5);  // white: sent before any cut, still on the wire
+  h.open_cut();
+  EXPECT_TRUE(h.whites_in(0));
+  EXPECT_TRUE(h.whites_in(2));
+  EXPECT_FALSE(h.whites_in(1));
+  h.report(0);
+  h.report(2);
+  h.deliver(0, 1);  // the straggler arrives after worker 1's cut
+  ASSERT_TRUE(h.whites_in(1));
+  h.report(1);
+  EXPECT_EQ(h.estimate(), (VirtualTime{5, 0}));
+  EXPECT_LE(h.estimate(), h.true_gvt());
+}
+
+// A red packet still on the wire at wave 2: its sender executed past it
+// and its receiver reported without it, so only the sender's red minimum
+// keeps the estimate down.
+TEST(GvtCutArithmetic, RedPacketInFlightAtWaveTwo) {
+  CutHarness h;
+  h.enqueue(0, 30);
+  h.enqueue(1, 40);
+  h.enqueue(2, 25);
+  h.open_cut();
+  h.process(2);      // worker 2 keeps executing inside the cut...
+  h.send(2, 0, 26);  // ...and sends red at 26
+  h.report(0);       // worker 0 reports 30 without the packet
+  h.report(1);
+  h.report(2);       // worker 2's queue is empty: it reports the red 26
+  EXPECT_EQ(h.estimate(), (VirtualTime{26, 0}));
+  EXPECT_LE(h.estimate(), h.true_gvt());
+  h.deliver(2, 0);
+  EXPECT_LE(h.estimate(), h.true_gvt());
+}
+
+// A rollback inside the cut: a white straggler at 12 rolls worker 1 back,
+// which cancels its earlier send at 14 with a red anti-message and then
+// re-executes past the straggler before it reports.  The anti-message is
+// the true minimum until it lands; without the red minimum the estimate
+// would read 30.
+TEST(GvtCutArithmetic, RollbackAntiMessageStaysCovered) {
+  CutHarness h;
+  h.enqueue(0, 30);
+  h.enqueue(1, 50);
+  h.enqueue(2, 30);
+  h.send(0, 1, 12);  // white straggler for worker 1
+  h.open_cut();
+  h.report(0);
+  h.report(2);       // worker 2 already processed the event at 14
+  h.deliver(0, 1);
+  h.send(1, 2, 14);  // anti-message for the send at 14, red
+  h.process(1);      // re-executes the straggler at 12
+  h.report(1);       // local minimum 50, red minimum 14
+  EXPECT_EQ(h.estimate(), (VirtualTime{14, 0}));
+  EXPECT_LE(h.estimate(), h.true_gvt());
+}
+
+// The stop-the-world close rule: every link's sender-side count must equal
+// its receiver's delivered count; a worker that takes no part is skipped.
+TEST(GvtCutArithmetic, BalancedComparesEveryLinkBothWays) {
+  using Counts = std::vector<std::vector<std::uint64_t>>;
+  const Counts sent = {{0, 4, 1}, {2, 0, 0}, {}};
+  EXPECT_TRUE(pdes::GvtCut::balanced(sent, {{0, 2, 9}, {4, 0, 9}, {}}));
+  EXPECT_FALSE(pdes::GvtCut::balanced(sent, {{0, 2, 9}, {3, 0, 9}, {}}));
+  EXPECT_FALSE(pdes::GvtCut::balanced(sent, {{0, 1, 9}, {4, 0, 9}, {}}));
+  EXPECT_EQ(pdes::GvtCut::white_targets(sent, 0),
+            (std::vector<std::uint64_t>{0, 2, 0}));
 }
 
 // Unit-level retry-cap contract, timer path: a permanently black link must

@@ -194,6 +194,10 @@ TEST(Distributed, FourRankSocketRunMatchesOracle) {
     std::uint64_t rank_events = 0;
     for (const auto& w : st.per_worker) rank_events += w.events;
     EXPECT_GT(rank_events, 0u) << tc.name;
+    // GVT rounds are asynchronous cuts: ranks executed while one was open,
+    // and without fault tolerance no round stopped the world.
+    EXPECT_GT(st.metrics.counter(obs::Metric::kCutEvents), 0u) << tc.name;
+    EXPECT_EQ(st.metrics.counter(obs::Metric::kStopRounds), 0u) << tc.name;
   }
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "net/frame.h"
 #include "net/node.h"
 #include "net/socket.h"
@@ -29,6 +30,32 @@ std::vector<std::uint8_t> make_frame(FrameType type, std::uint32_t epoch,
   std::vector<std::uint8_t> out;
   append_frame(out, type, epoch, pl.data(), pl.size());
   return out;
+}
+
+// The slice-by-8 CRC-32 must equal the bytewise reference bit for bit, so
+// spill files and frames stay compatible: the standard check value, then
+// random contents over random lengths (0 to 64 KiB) at every alignment.
+TEST(Crc32, SliceBy8MatchesBytewiseReference) {
+  const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(common::crc32(check, sizeof check), 0xCBF43926u);
+  EXPECT_EQ(common::crc32(nullptr, 0), 0u);
+  std::vector<std::uint8_t> buf((64u << 10) + 8);
+  std::uint64_t rng = 0x243F6A8885A308D3ull;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(next());
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t off = static_cast<std::size_t>(next() % 8);
+    std::size_t len = static_cast<std::size_t>(next() % ((64u << 10) + 1));
+    if (trial < 64) len = static_cast<std::size_t>(trial);  // every tail
+    const std::uint8_t* p = buf.data() + off;
+    ASSERT_EQ(common::crc32(p, len), common::crc32_bytewise(p, len))
+        << "offset " << off << " length " << len;
+  }
 }
 
 TEST(FrameParser, IncrementalFeedRoundTrips) {
