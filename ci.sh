@@ -23,6 +23,10 @@ echo "==> Contention: round barrier, threaded and distributed engines beside a C
 # and so do the fault-free distributed rows and the distributed seed sweep:
 # their ranks keep executing through open GVT cuts, so a slow rank delays
 # reports instead of stopping everyone, and load is what stretches that.
+# The distributed crash-recovery rows run three times each beside the hog
+# too: deaths are judged from EOF on the dead rank's sockets, so a slow
+# rank must never be taken for a dead one.  On a failure their log --
+# including any watchdog report -- is printed.
 # Each hog is bounded by `timeout` and killed by PID when the step ends.
 hog_pids=()
 stop_hogs() {
@@ -40,6 +44,13 @@ done
 ./build/tests/test_checkpoint --gtest_filter='CheckpointThreaded.*'
 ./build/tests/test_distributed --gtest_filter='Distributed.FourRankSocketRunMatchesOracle:Distributed.NativeCodegenFourRankMatchesOracle'
 ./build/tests/test_distributed_sweep
+crash_log=build/contention_crash_rows.log
+if ! ./build/tests/test_distributed --gtest_repeat=3 \
+    --gtest_filter='Distributed.SigkilledRankRecoversToOracle:Distributed.NativeCodegenSigkillRecoversToOracle:Distributed.CascadingCoordinatorDeaths:Distributed.TwoDeathsTwoRecoveries' \
+    > "$crash_log" 2>&1; then
+  cat "$crash_log"
+  exit 1
+fi
 stop_hogs
 trap - EXIT
 
@@ -57,14 +68,15 @@ echo "==> Distributed smoke: 4-rank UDS mesh vs oracle + SIGKILL recovery"
 # rank 2 is SIGKILLed mid-flight must recover from the shipped checkpoints
 # to the very same trace, and a run whose COORDINATOR (rank 0) is SIGKILLed
 # must fail over to rank 1 and still commit the oracle trace exactly once.
-# Two more pin the transport's derivation from the wire: chaos plus a kill
-# must still match the oracle now that recovery resets the channel stack
-# and the fault RNGs run on instead of rewinding, and a transient socket
-# disconnect must heal without loss -- the reconnect case that keeps the
-# reliable layer on the socket mesh.  The seed sweep runs the asynchronous
-# GVT cuts over 12 random netlists and the IIR under kDynamic,
-# all-optimistic and all-conservative, each against the oracle.
-./build/tests/test_distributed --gtest_filter='Distributed.FourRankSocketRunMatchesOracle:Distributed.SigkilledRankRecoversToOracle:Distributed.CoordinatorKillRecoversToOracle:Distributed.ChaosPlusKillStillMatchesOracle:Distributed.TransientDisconnectHealsWithoutLoss'
+# Chaos plus a kill must still match the oracle now that recovery resets
+# the channel stack and the fault RNGs run on instead of rewinding.  Two
+# more pin that deaths come from the kernel, not from a clock: with a
+# one-minute heartbeat timeout, a killed worker and a killed coordinator
+# are each recovered around in seconds, from the EOF on their sockets.
+# The seed sweep runs the asynchronous GVT cuts over 12 random netlists
+# and the IIR under kDynamic, all-optimistic and all-conservative, each
+# against the oracle.
+./build/tests/test_distributed --gtest_filter='Distributed.FourRankSocketRunMatchesOracle:Distributed.SigkilledRankRecoversToOracle:Distributed.CoordinatorKillRecoversToOracle:Distributed.ChaosPlusKillStillMatchesOracle:Distributed.WorkerDeathDetectedFromEof:Distributed.CoordinatorDeathDetectedFromEof'
 ./build/tests/test_distributed_sweep
 
 echo "==> Codegen smoke: native backend bit-identical to the interpreter"
@@ -169,9 +181,9 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DVSIM_SANITIZE=address > /dev/null
 cmake --build build-asan -j "$JOBS"
 # Sanitized binaries run several times slower, so the engine's wall-clock
-# liveness budgets (heartbeat timeout, connect deadline, reconnect backoff)
-# are stretched via VSIM_TIME_SCALE -- otherwise a merely-slow rank under
-# ASan is declared dead and CI chases phantom failovers.
+# budgets (heartbeat timeout, connect deadline) are stretched via
+# VSIM_TIME_SCALE -- otherwise a merely-slow rank under ASan is judged
+# unresponsive and the run fails.
 VSIM_TIME_SCALE="${VSIM_TIME_SCALE_ASAN:-4}" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   ctest --test-dir build-asan --output-on-failure -j "$JOBS"

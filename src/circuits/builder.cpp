@@ -51,10 +51,9 @@ ProcessId CircuitBuilder::dff_r(SignalId clk, SignalId d, SignalId rst,
 ProcessId CircuitBuilder::clock(SignalId out, PhysTime half_period,
                                 const std::string& name) {
   auto body = std::make_unique<ClockBody>(half_period);
-  const ProcessId p =
-      attach(std::move(body), {}, out, name, /*synchronous=*/true);
-  d_.process(p).set_lookahead(half_period);
-  return p;
+  // No lookahead: the clock assigns with zero delay when it wakes, so its
+  // promise comes from its pending wake-up alone.
+  return attach(std::move(body), {}, out, name, /*synchronous=*/true);
 }
 
 ProcessId CircuitBuilder::stimulus(

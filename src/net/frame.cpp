@@ -19,7 +19,6 @@ const char* frame_type_name(FrameType t) {
     case FrameType::kResume: return "resume";
     case FrameType::kAbort: return "abort";
     case FrameType::kStats: return "stats";
-    case FrameType::kLinkDown: return "link-down";
     case FrameType::kCkptAck: return "ckpt-ack";
     case FrameType::kCommit: return "commit";
     case FrameType::kFinal: return "final";

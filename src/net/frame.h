@@ -34,7 +34,6 @@ enum class FrameType : std::uint8_t {
   kResume,       ///< coordinator: leave recovery, resume work
   kAbort,        ///< either way: unrecoverable failure, unwind
   kStats,        ///< rank: final stats/metrics/commits at termination
-  kLinkDown,     ///< rank: reconnect budget to some peer exhausted
   kCkptAck,      ///< successor: checkpoint round assembled and spilled
   kCommit,       ///< coordinator -> supervisor pipe: one commit batch
   kFinal,        ///< coordinator -> supervisor pipe: final RunStats

@@ -8,6 +8,8 @@ namespace vsim::net {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Retry period of a refused dial inside the startup window (ms).
+constexpr std::int64_t kRedialMs = 2;
 
 std::vector<std::uint8_t> encode_u32_payload(std::uint32_t v) {
   return {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
@@ -25,15 +27,21 @@ std::uint32_t decode_u32_payload(const FrameView& view) {
 
 }  // namespace
 
+PeerVerdict peer_verdict(bool lost, std::int64_t last_heard_ms,
+                         std::int64_t now_ms, std::int64_t timeout_ms) {
+  if (lost) return PeerVerdict::kLost;
+  if (now_ms - last_heard_ms > timeout_ms) return PeerVerdict::kUnresponsive;
+  return PeerVerdict::kAlive;
+}
+
 SocketNode::SocketNode(std::uint32_t rank, std::uint32_t nranks,
                        const pdes::NetConfig& cfg)
     : rank_(rank), nranks_(nranks), cfg_(cfg),
       connect_timeout_ms_(pdes::scaled_ms(pdes::kConnectTimeoutMs)),
-      reconnect_max_ms_(pdes::scaled_ms(pdes::kReconnectMaxMs)),
       out_(nranks),
       last_heard_(nranks, now_ms()), retired_(nranks, false),
-      start_ms_(now_ms()),
-      disconnect_fired_(cfg.disconnects.size(), false) {}
+      lost_(nranks, false), identified_(nranks, false),
+      start_ms_(now_ms()) {}
 
 SocketNode::~SocketNode() {
   close_fd(listen_fd_);
@@ -70,107 +78,75 @@ bool SocketNode::start(std::string* err) {
 bool SocketNode::send(std::uint32_t dst, FrameType type,
                       const std::vector<std::uint8_t>& payload) {
   OutConn& oc = out_[dst];
-  if (oc.state == OutState::kFailed) return false;
+  if (oc.state == OutState::kClosed) return false;
   std::vector<std::uint8_t> frame;
   append_frame(frame, type, epoch_, payload.data(), payload.size());
   oc.frames.push_back(std::move(frame));
-  if (type == FrameType::kData) {
-    ++oc.data_frames_sent;
-    ++counters_.data_frames_sent;
-    maybe_inject_disconnect(dst, oc, now_ms());
-  }
+  if (type == FrameType::kData) ++counters_.data_frames_sent;
   if (type == FrameType::kHeartbeat) ++counters_.heartbeats_sent;
   return true;
 }
 
-void SocketNode::maybe_inject_disconnect(std::uint32_t dst, OutConn& oc,
-                                         std::int64_t now) {
-  for (std::size_t i = 0; i < cfg_.disconnects.size(); ++i) {
-    const pdes::NetConfig::Disconnect& d = cfg_.disconnects[i];
-    if (disconnect_fired_[i] || d.src != rank_ || d.dst != dst) continue;
-    if (oc.data_frames_sent < d.after_data_frames) continue;
-    disconnect_fired_[i] = true;
-    // Abrupt loss: the connection and everything buffered on it vanish.
-    // The reliable layer's retransmission owns redelivery.
-    if (oc.state == OutState::kUp || oc.state == OutState::kConnecting)
-      drop_out(oc, now, /*discard_queue=*/true);
-  }
-}
-
-void SocketNode::start_dial(OutConn& oc, std::uint32_t dst, std::int64_t now) {
+void SocketNode::start_dial(std::uint32_t dst, std::int64_t now) {
+  OutConn& oc = out_[dst];
   std::string err;
-  const int fd = dial(rank_addr(dst), &err);
-  if (fd < 0) {
-    fail_or_backoff(oc, now);
+  oc.fd = dial(rank_addr(dst), &err);
+  if (oc.fd < 0) {
+    dial_failed(dst, now);
     return;
   }
-  oc.fd = fd;
   oc.state = OutState::kConnecting;
-  oc.dial_deadline_ms = now + connect_timeout_ms_;
 }
 
-void SocketNode::fail_or_backoff(OutConn& oc, std::int64_t now) {
+void SocketNode::dial_failed(std::uint32_t dst, std::int64_t now) {
+  OutConn& oc = out_[dst];
   close_fd(oc.fd);
   oc.fd = -1;
-  // Attempts before the very first establishment inside the initial connect
-  // window are free: peers fork and bind asynchronously, and punishing the
-  // bind race would make every startup a near-death experience.
-  const bool grace =
-      !oc.ever_connected && now < start_ms_ + connect_timeout_ms_;
-  if (!grace) ++oc.attempts;
-  if (oc.attempts >= pdes::kReconnectMaxAttempts) {
-    oc.state = OutState::kFailed;
-    oc.frames.clear();
-    oc.head_written = 0;
+  // Peers fork and bind asynchronously: a refused dial inside the startup
+  // window is the bind race, not a death.
+  if (now < start_ms_ + connect_timeout_ms_) {
+    oc.state = OutState::kIdle;
+    oc.next_dial_ms = now + kRedialMs;
     return;
   }
-  const std::uint32_t shift = std::min(oc.attempts, 20u);
-  const std::int64_t delay = std::min<std::int64_t>(
-      static_cast<std::int64_t>(pdes::kReconnectBaseMs) << shift,
-      reconnect_max_ms_);
-  oc.state = OutState::kBackoff;
-  oc.next_dial_ms = now + std::max<std::int64_t>(delay, 1);
+  mark_lost(dst);
 }
 
 void SocketNode::on_established(OutConn& oc) {
-  if (oc.ever_connected) ++counters_.reconnects;
-  oc.ever_connected = true;
-  oc.attempts = 0;
   oc.state = OutState::kUp;
-  // First frame on every connection identifies the sender.  It jumps the
-  // queue: head_written is 0 here (drop_out resets it), so the pending head
-  // frame restarts cleanly after the hello.
+  // First frame on every connection identifies the sender; it jumps the
+  // frames queued while the dial was in flight.
   std::vector<std::uint8_t> hello;
   append_frame(hello, FrameType::kHello, epoch_,
                encode_u32_payload(rank_).data(), 4);
   oc.frames.push_front(std::move(hello));
 }
 
-void SocketNode::drop_out(OutConn& oc, std::int64_t now, bool discard_queue) {
-  ++counters_.disconnects;
+void SocketNode::close_out(std::uint32_t rank) {
+  OutConn& oc = out_[rank];
   close_fd(oc.fd);
   oc.fd = -1;
+  oc.frames.clear();
   oc.head_written = 0;
-  if (discard_queue) {
-    oc.frames.clear();
-  } else if (!oc.frames.empty() &&
-             oc.frames.front()[8] ==
-                 static_cast<std::uint8_t>(FrameType::kHello)) {
-    // A stale hello from the previous incarnation must not survive the
-    // reconnect -- on_established() pushes a fresh one.
-    oc.frames.pop_front();
-  }
-  fail_or_backoff(oc, now);
+  oc.state = OutState::kClosed;
 }
 
-std::size_t SocketNode::write_out(OutConn& oc, std::int64_t now) {
+void SocketNode::mark_lost(std::uint32_t rank) {
+  if (lost_[rank] || retired_[rank]) return;
+  lost_[rank] = true;
+  ++counters_.disconnects;
+  close_out(rank);
+}
+
+std::size_t SocketNode::write_out(std::uint32_t dst) {
+  OutConn& oc = out_[dst];
   std::size_t completed = 0;
   while (!oc.frames.empty()) {
     const std::vector<std::uint8_t>& f = oc.frames.front();
     const int n = write_some(oc.fd, f.data() + oc.head_written,
                              f.size() - oc.head_written);
     if (n < 0) {
-      drop_out(oc, now, /*discard_queue=*/false);
+      mark_lost(dst);
       return completed;
     }
     if (n == 0) break;  // kernel buffer full
@@ -189,16 +165,20 @@ std::size_t SocketNode::write_out(OutConn& oc, std::int64_t now) {
   return completed;
 }
 
+void SocketNode::close_in(InConn& ic) {
+  close_fd(ic.fd);
+  ic.fd = -1;
+  if (ic.rank >= 0) mark_lost(static_cast<std::uint32_t>(ic.rank));
+}
+
 std::size_t SocketNode::read_in(InConn& ic, std::int64_t now) {
   std::uint8_t chunk[kReadChunk];
   std::size_t delivered = 0;
   for (;;) {
     const int n = read_some(ic.fd, chunk, sizeof(chunk));
     if (n < 0) {
-      // EOF or error: the connection is gone.  Liveness of the peer is the
-      // heartbeat's business, not the byte stream's.
-      close_fd(ic.fd);
-      ic.fd = -1;
+      // EOF or error: the process behind the connection is gone.
+      close_in(ic);
       return delivered;
     }
     if (n == 0) break;
@@ -211,31 +191,23 @@ std::size_t SocketNode::read_in(InConn& ic, std::int64_t now) {
       if (got == 0) break;
       if (got < 0) {
         ++counters_.crc_errors;
-        close_fd(ic.fd);
-        ic.fd = -1;
+        close_in(ic);
         return delivered;
       }
       ++counters_.frames_recv;
       if (ic.rank < 0) {
-        // Only a hello may open a connection.
+        // Only a hello may open a connection, and each peer opens exactly
+        // one: a second claim to a rank is garbage, not a reconnect.
         const std::uint32_t peer = view.type == FrameType::kHello
                                        ? decode_u32_payload(view)
                                        : 0xFFFFFFFFu;
-        if (peer >= nranks_) {
-          close_fd(ic.fd);
-          ic.fd = -1;
+        if (peer >= nranks_ || identified_[peer]) {
+          close_in(ic);
           return delivered;
         }
+        identified_[peer] = true;
         ic.rank = peer;
-        // Newest connection from a rank wins; close any stale twin (the
-        // peer reconnected, its old socket just hasn't died here yet).
-        for (InConn& other : in_) {
-          if (&other != &ic && other.rank == ic.rank && other.fd >= 0) {
-            close_fd(other.fd);
-            other.fd = -1;
-          }
-        }
-        last_heard_[static_cast<std::size_t>(ic.rank)] = now;
+        last_heard_[peer] = now;
         continue;
       }
       last_heard_[static_cast<std::size_t>(ic.rank)] = now;
@@ -243,10 +215,9 @@ std::size_t SocketNode::read_in(InConn& ic, std::int64_t now) {
         ++counters_.heartbeats_recv;
         continue;
       }
-      if (view.type == FrameType::kHello) continue;  // redundant re-hello
       if (view.type == FrameType::kData) {
         if (view.epoch != epoch_) {
-          // Pre-recovery traffic: the reliable layer's cursors were reset,
+          // Pre-recovery traffic: the channel stack's cursors were reset,
           // so these bytes must never reach it.
           ++counters_.stale_epoch_dropped;
           continue;
@@ -278,28 +249,16 @@ std::size_t SocketNode::pump(int timeout_ms) {
   std::int64_t now = now_ms();
   queue_heartbeats(now);
 
-  // Reconnect state machine.
+  // Initial connect: dial due links; a connect still in flight when the
+  // startup window closes means the peer never came up.
   for (std::uint32_t r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
     OutConn& oc = out_[r];
-    switch (oc.state) {
-      case OutState::kIdle:
-        start_dial(oc, r, now);
-        break;
-      case OutState::kBackoff:
-        if (now >= oc.next_dial_ms) start_dial(oc, r, now);
-        break;
-      case OutState::kConnecting:
-        if (now >= oc.dial_deadline_ms) {
-          close_fd(oc.fd);
-          oc.fd = -1;
-          fail_or_backoff(oc, now);
-        }
-        break;
-      case OutState::kUp:
-      case OutState::kFailed:
-        break;
-    }
+    if (oc.state == OutState::kIdle && now >= oc.next_dial_ms)
+      start_dial(r, now);
+    else if (oc.state == OutState::kConnecting &&
+             now >= start_ms_ + connect_timeout_ms_)
+      mark_lost(r);
   }
 
   // Reap dead inbound slots before building the poll set.
@@ -315,12 +274,11 @@ std::size_t SocketNode::pump(int timeout_ms) {
   for (std::uint32_t r = 0; r < nranks_; ++r) {
     OutConn& oc = out_[r];
     if (oc.fd < 0) continue;
-    short events = 0;
-    if (oc.state == OutState::kConnecting) events = POLLOUT;
-    if (oc.state == OutState::kUp && !oc.frames.empty()) events = POLLOUT;
-    if (events == 0) continue;
-    out_slot[r] = fds.size();
-    fds.push_back({oc.fd, events, 0});
+    if (oc.state == OutState::kConnecting ||
+        (oc.state == OutState::kUp && !oc.frames.empty())) {
+      out_slot[r] = fds.size();
+      fds.push_back({oc.fd, POLLOUT, 0});
+    }
   }
   const std::size_t in_base = fds.size();
   for (InConn& ic : in_) fds.push_back({ic.fd, POLLIN, 0});
@@ -347,20 +305,16 @@ std::size_t SocketNode::pump(int timeout_ms) {
     OutConn& oc = out_[r];
     if (out_slot[r] == SIZE_MAX || oc.fd < 0) continue;
     const short rev = fds[out_slot[r]].revents;
+    if ((rev & (POLLOUT | POLLERR | POLLHUP)) == 0) continue;
     if (oc.state == OutState::kConnecting) {
-      if ((rev & (POLLOUT | POLLERR | POLLHUP)) == 0) continue;
       std::string err;
       if (!dial_finished(oc.fd, &err)) {
-        close_fd(oc.fd);
-        oc.fd = -1;
-        fail_or_backoff(oc, now);
+        dial_failed(r, now);
         continue;
       }
       on_established(oc);
     }
-    if (oc.state == OutState::kUp &&
-        (rev & (POLLOUT | POLLERR | POLLHUP)) != 0)
-      activity += write_out(oc, now);
+    activity += write_out(r);
   }
 
   // Inbound reads (iterate by index: handlers may send(), and in_ can grow
@@ -377,19 +331,15 @@ std::size_t SocketNode::pump(int timeout_ms) {
   // pump: one non-blocking write attempt, no extra poll round-trip.
   for (std::uint32_t r = 0; r < nranks_; ++r) {
     OutConn& oc = out_[r];
-    if (oc.state == OutState::kUp && !oc.frames.empty() && oc.fd >= 0)
-      activity += write_out(oc, now);
+    if (oc.state == OutState::kUp && !oc.frames.empty())
+      activity += write_out(r);
   }
   return activity;
 }
 
 bool SocketNode::all_flushed() const {
-  for (std::uint32_t r = 0; r < nranks_; ++r) {
-    if (r == rank_) continue;
-    const OutConn& oc = out_[r];
-    if (oc.state == OutState::kFailed) continue;
-    if (!oc.frames.empty()) return false;
-  }
+  for (std::uint32_t r = 0; r < nranks_; ++r)
+    if (r != rank_ && !out_[r].frames.empty()) return false;
   return true;
 }
 
@@ -404,12 +354,7 @@ bool SocketNode::all_links_up() const {
 void SocketNode::retire_peer(std::uint32_t rank) {
   if (rank >= nranks_ || rank == rank_ || retired_[rank]) return;
   retired_[rank] = true;
-  OutConn& oc = out_[rank];
-  close_fd(oc.fd);
-  oc.fd = -1;
-  oc.frames.clear();
-  oc.head_written = 0;
-  oc.state = OutState::kFailed;
+  close_out(rank);
   for (InConn& ic : in_) {
     if (ic.rank == static_cast<std::int64_t>(rank) && ic.fd >= 0) {
       close_fd(ic.fd);
@@ -418,20 +363,17 @@ void SocketNode::retire_peer(std::uint32_t rank) {
   }
 }
 
-bool SocketNode::peer_retired(std::uint32_t rank) const {
-  return rank < nranks_ && retired_[rank];
+bool SocketNode::peer_lost(std::uint32_t rank) const {
+  return lost_[rank];
+}
+
+PeerVerdict SocketNode::verdict(std::uint32_t rank,
+                                std::int64_t timeout_ms) const {
+  return peer_verdict(lost_[rank], last_heard_[rank], now_ms(), timeout_ms);
 }
 
 std::int64_t SocketNode::last_heard_ms(std::uint32_t rank) const {
   return last_heard_[rank];
-}
-
-bool SocketNode::link_failed(std::uint32_t dst) const {
-  return out_[dst].state == OutState::kFailed;
-}
-
-std::uint32_t SocketNode::link_attempts(std::uint32_t dst) const {
-  return out_[dst].attempts;
 }
 
 }  // namespace vsim::net

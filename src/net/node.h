@@ -7,20 +7,19 @@
 //
 //  * framing (net/frame.h) and per-connection stream reassembly;
 //  * peer identification (first frame on every connection is kHello);
-//  * wall-clock heartbeats to every peer, and last-heard bookkeeping so the
-//    coordinator can declare a silent rank dead;
-//  * dial/redial with exponential backoff and a bounded attempt budget --
-//    a link whose budget is exhausted is failed for good and reported, it
-//    never blocks the pump;
+//  * the initial connect, retried only inside the kConnectTimeoutMs window
+//    that covers the ranks' bind race at startup;
+//  * loss: every rank runs on this host as a child of one supervisor, so a
+//    connection breaks only when the process behind it dies.  EOF, a read
+//    or write error, or a CRC failure on an identified peer's connection
+//    marks that peer lost for good (peer_lost()); the node never redials;
+//  * wall-clock heartbeats to every peer and last-heard bookkeeping, the
+//    backstop for a rank that is alive but wedged (peer_verdict());
 //  * epoch filtering of data frames, so traffic from before a crash
-//    recovery cannot reach the reliable layer after its cursors reset;
-//  * deterministic transient-disconnect injection (NetConfig::disconnects)
-//    for testing the reconnect path over the real wire.
+//    recovery cannot reach the channel stack after its cursors reset.
 //
-// Delivery guarantee: at-least-once per frame, in order per connection
-// incarnation.  A reconnect may replay the frame that straddled the break,
-// so every receiver must be idempotent -- kData dedups in the ChannelStack,
-// control frames carry round/epoch ids the engine checks.
+// Delivery guarantee: exactly once and in order per peer, until the peer is
+// lost.  Frames queued to a lost peer are dropped with it.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +44,24 @@ struct NodeCounters {
   std::uint64_t data_frames_recv = 0;
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t heartbeats_recv = 0;
-  std::uint64_t reconnects = 0;    ///< successful re-establishments
-  std::uint64_t disconnects = 0;   ///< connection losses (incl. injected)
+  std::uint64_t disconnects = 0;   ///< peers whose connection was lost
   std::uint64_t crc_errors = 0;    ///< frames dropped on checksum/framing
   std::uint64_t stale_epoch_dropped = 0;
 };
+
+/// What a rank may conclude about a peer.  A lost connection is a dead
+/// rank; silence alone only says the peer is wedged.
+enum class PeerVerdict : std::uint8_t {
+  kAlive,         ///< connected, heard from within the timeout
+  kLost,          ///< connection broken: the process behind it is gone
+  kUnresponsive,  ///< connected but silent past the timeout
+};
+
+/// The liveness rule, shared by the coordinator and the ranks.  Loss wins
+/// over silence: a dead rank's last frame may be long ago.
+[[nodiscard]] PeerVerdict peer_verdict(bool lost, std::int64_t last_heard_ms,
+                                       std::int64_t now_ms,
+                                       std::int64_t timeout_ms);
 
 class SocketNode {
  public:
@@ -74,43 +86,41 @@ class SocketNode {
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
   /// Queues one frame to `dst` (stamped with the current epoch).  Returns
-  /// false iff the link is failed for good; the frame is dropped then.
+  /// false iff `dst` is lost or retired; the frame is dropped then.
   bool send(std::uint32_t dst, FrameType type,
             const std::vector<std::uint8_t>& payload);
 
-  /// One I/O step: redial due links, poll all sockets for up to
+  /// One I/O step: dial due links, poll all sockets for up to
   /// `timeout_ms` (0 = nonblocking), then accept/read/write and emit due
   /// heartbeats.  Returns the number of frames delivered + fully written,
   /// so drain loops can detect progress.
   std::size_t pump(int timeout_ms);
 
-  /// True when every live link's outbound buffer is empty (failed links
-  /// don't count: their traffic is gone and recovery owns the fallout).
+  /// True when every live link's outbound buffer is empty (lost and retired
+  /// links don't count: their traffic is gone and recovery owns the fallout).
   [[nodiscard]] bool all_flushed() const;
 
   /// Last wall-clock ms (now_ms()) a complete frame arrived from `rank`;
   /// initialised to construction time so a rank that never shows up times
-  /// out rather than being instantly dead.
+  /// out rather than being instantly unresponsive.
   [[nodiscard]] std::int64_t last_heard_ms(std::uint32_t rank) const;
 
-  /// True when every outbound link is established right now.  The engines
-  /// gate startup on this, and skip force-retransmission while it is false:
-  /// forcing into a down link burns the reliable layer's retry budget
-  /// without ever reaching the wire.
+  /// True when every outbound link to a peer not retired is established
+  /// right now.  The engine gates startup on this.
   [[nodiscard]] bool all_links_up() const;
 
   /// Permanently removes `rank` from the mesh after crash recovery retired
   /// it: closes both directions, drops queued frames, and excludes the link
-  /// from dialing, heartbeats, all_flushed() and all_links_up().  send() to
-  /// a retired rank returns false.  Irreversible by design -- a recovered
-  /// run never talks to a dead rank's pid again.
+  /// from heartbeats, all_flushed() and all_links_up().  send() to a
+  /// retired rank returns false.
   void retire_peer(std::uint32_t rank);
-  [[nodiscard]] bool peer_retired(std::uint32_t rank) const;
 
-  /// True when the outbound link's reconnect budget is exhausted.
-  [[nodiscard]] bool link_failed(std::uint32_t dst) const;
-  /// Dial attempts consumed on the link so far (for error reporting).
-  [[nodiscard]] std::uint32_t link_attempts(std::uint32_t dst) const;
+  /// True once a connection to or from `rank` broke, or its initial connect
+  /// window ran out.  Never reverts.
+  [[nodiscard]] bool peer_lost(std::uint32_t rank) const;
+  /// peer_verdict() for `rank` at the current wall-clock time.
+  [[nodiscard]] PeerVerdict verdict(std::uint32_t rank,
+                                    std::int64_t timeout_ms) const;
 
   [[nodiscard]] const NodeCounters& counters() const { return counters_; }
   [[nodiscard]] std::uint32_t rank() const { return rank_; }
@@ -120,26 +130,20 @@ class SocketNode {
 
  private:
   enum class OutState : std::uint8_t {
-    kIdle,        ///< not yet dialed
+    kIdle,        ///< dial due at next_dial_ms (startup window only)
     kConnecting,  ///< non-blocking connect in flight
     kUp,          ///< established, hello sent
-    kBackoff,     ///< waiting to redial
-    kFailed,      ///< budget exhausted; terminal
+    kClosed,      ///< peer lost or retired; terminal
   };
 
   struct OutConn {
     OutState state = OutState::kIdle;
     int fd = -1;
     /// Whole frames awaiting write; head_written bytes of the front frame
-    /// are already on the wire.  On reconnect the front frame restarts from
-    /// byte 0 (the peer discarded the truncated copy with the connection).
+    /// are already on the wire.
     std::deque<std::vector<std::uint8_t>> frames;
     std::size_t head_written = 0;
-    std::uint32_t attempts = 0;
-    bool ever_connected = false;
     std::int64_t next_dial_ms = 0;
-    std::int64_t dial_deadline_ms = 0;
-    std::uint64_t data_frames_sent = 0;  ///< drives disconnect injection
   };
 
   struct InConn {
@@ -148,23 +152,29 @@ class SocketNode {
     std::int64_t rank = -1;  ///< -1 until kHello identifies the peer
   };
 
-  void start_dial(OutConn& oc, std::uint32_t dst, std::int64_t now);
-  void fail_or_backoff(OutConn& oc, std::int64_t now);
+  void start_dial(std::uint32_t dst, std::int64_t now);
+  /// A dial that did not connect: retry inside the startup window, else
+  /// the peer never came up and is lost.
+  void dial_failed(std::uint32_t dst, std::int64_t now);
   void on_established(OutConn& oc);
-  void drop_out(OutConn& oc, std::int64_t now, bool discard_queue);
-  std::size_t write_out(OutConn& oc, std::int64_t now);
+  /// Marks `rank` lost and closes the outbound link.  Inbound connections
+  /// stay open until their EOF, so frames the peer wrote before it died
+  /// are still delivered.
+  void mark_lost(std::uint32_t rank);
+  /// Closes the outbound link to `rank` and drops its queue.
+  void close_out(std::uint32_t rank);
+  std::size_t write_out(std::uint32_t dst);
   std::size_t read_in(InConn& ic, std::int64_t now);
+  /// Closes an inbound connection; an identified peer's is lost with it.
+  void close_in(InConn& ic);
   void queue_heartbeats(std::int64_t now);
-  void maybe_inject_disconnect(std::uint32_t dst, OutConn& oc,
-                               std::int64_t now);
 
   std::uint32_t rank_;
   std::uint32_t nranks_;
   pdes::NetConfig cfg_;
-  /// pdes::kConnectTimeoutMs and kReconnectMaxMs, stretched by
-  /// $VSIM_TIME_SCALE (pdes::scaled_ms).
+  /// pdes::kConnectTimeoutMs stretched by $VSIM_TIME_SCALE
+  /// (pdes::scaled_ms).
   std::int64_t connect_timeout_ms_;
-  std::int64_t reconnect_max_ms_;
   FrameHandler handler_;
   std::uint32_t epoch_ = 0;
 
@@ -172,10 +182,11 @@ class SocketNode {
   std::vector<OutConn> out_;           ///< by peer rank (self unused)
   std::vector<InConn> in_;             ///< accepted connections
   std::vector<std::int64_t> last_heard_;
-  std::vector<bool> retired_;  ///< peers removed from the mesh for good
+  std::vector<bool> retired_;     ///< peers removed from the mesh for good
+  std::vector<bool> lost_;        ///< peers whose connection broke
+  std::vector<bool> identified_;  ///< peers whose hello arrived
   std::int64_t last_hb_sent_ = 0;
   std::int64_t start_ms_ = 0;
-  std::vector<bool> disconnect_fired_;  ///< per cfg_.disconnects entry
   NodeCounters counters_;
 };
 

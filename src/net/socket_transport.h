@@ -7,12 +7,12 @@
 // submit() serialises the Packet with the checkpoint codec's event encoding
 // (pdes/checkpoint.h) and queues it as one kData frame to the destination
 // rank; inbound kData frames are decoded by the engine's frame handler and
-// fed back into ChannelStack::on_wire_delivery().  A stream socket is
-// reliable while its connection lives, but a reconnect may drop or replay
-// the frame that straddled the break, so this wire is not lossless() and the
-// ChannelStack above always composes seq/ack/retransmit.  That machinery
-// repairs both those reconnect losses and the faults a FaultyTransport
-// injects *above* this layer, on real network traffic.
+// fed back into ChannelStack::on_wire_delivery().  Every rank runs on one
+// host, so a connection breaks only when the process behind it dies, and
+// the node never reconnects: within an epoch this wire is lossless and in
+// order.  The ChannelStack above composes seq/ack/retransmit only when a
+// FaultyTransport sits between them, to repair the faults it injects on
+// real network traffic.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +32,9 @@ class SocketTransport final : public pdes::Transport {
   explicit SocketTransport(SocketNode& node) : node_(node) {}
 
   /// Serialise + queue to the destination rank.  `now` is ignored: the
-  /// real network has its own clock.  Submissions to a failed link are
-  /// dropped -- the reliable layer keeps them in flight and the engine's
-  /// link-down handling decides whether that is fatal.
+  /// real network has its own clock.  Submissions to a lost or retired peer
+  /// are dropped: the peer is dead, and recovery discards its traffic.
   void submit(pdes::Packet&& pkt, double now) override;
-  [[nodiscard]] bool lossless() const override { return false; }
 
  private:
   SocketNode& node_;

@@ -45,7 +45,6 @@ const char* metric_name(Metric m) {
     case Metric::kNetFramesSent: return "net.frames_sent";
     case Metric::kNetFramesRecv: return "net.frames_recv";
     case Metric::kNetHeartbeats: return "net.heartbeats";
-    case Metric::kNetReconnects: return "net.reconnects";
     case Metric::kNetDisconnects: return "net.disconnects";
     case Metric::kNetCrcErrors: return "net.crc_errors";
     case Metric::kNativeBodies: return "frontend.native_bodies";

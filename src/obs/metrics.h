@@ -78,8 +78,7 @@ enum class Metric : std::uint16_t {
   kNetFramesSent,          ///< net.frames_sent — wire frames written
   kNetFramesRecv,          ///< net.frames_recv — wire frames parsed
   kNetHeartbeats,          ///< net.heartbeats — heartbeat frames sent
-  kNetReconnects,          ///< net.reconnects — successful redials
-  kNetDisconnects,         ///< net.disconnects — connection losses observed
+  kNetDisconnects,         ///< net.disconnects — peer connections lost
   kNetCrcErrors,           ///< net.crc_errors — frames dropped on checksum
   // Frontend native codegen (process-global, folded at run end).
   kNativeBodies,           ///< frontend.native_bodies — compiled bodies built

@@ -73,24 +73,15 @@ std::optional<ConfigError> validate(const FaultPlan& plan,
   return std::nullopt;
 }
 
-std::optional<ConfigError> validate_net(const NetConfig& net,
-                                        std::size_t num_ranks) {
+std::optional<ConfigError> validate_net(const NetConfig& net) {
   if (net.heartbeat_interval_ms < 1)
     return fail("net.heartbeat_interval_ms", "must be >= 1");
   if (net.heartbeat_timeout_ms <= net.heartbeat_interval_ms)
     return fail("net.heartbeat_timeout_ms",
                 "timeout must exceed the heartbeat interval or every rank "
-                "is instantly dead");
+                "is instantly unresponsive");
   if (net.tcp && net.base_port == 0)
     return fail("net.base_port", "TCP mode needs an explicit base port");
-  for (const NetConfig::Disconnect& d : net.disconnects) {
-    if (d.src >= num_ranks || d.dst >= num_ranks || d.src == d.dst) {
-      std::ostringstream os;
-      os << "disconnect " << d.src << "->" << d.dst << " is not a link of a "
-         << num_ranks << "-rank run";
-      return fail("net.disconnects", os.str());
-    }
-  }
   return std::nullopt;
 }
 
@@ -127,6 +118,15 @@ std::optional<ConfigError> validate(const RunConfig& config) {
   if (config.gvt_interval < 1)
     return fail("gvt_interval", "GVT interval must be >= 1");
   if (auto err = validate(config.adapt)) return err;
+  // The paper's rule: null messages only when every LP is conservative.  An
+  // optimistic sender can roll back and resend below a promise it made, so
+  // a conservative receiver would commit past a bound that was never safe.
+  if (config.strategy == ConservativeStrategy::kNullMessage &&
+      config.configuration != Configuration::kAllConservative)
+    return fail("strategy",
+                std::string("null messages need every LP conservative "
+                            "(configuration 'conservative'), not '") +
+                    to_string(config.configuration) + "'");
   if (config.deadlock_rounds < 1)
     return fail("deadlock_rounds", "deadlock threshold must be >= 1");
   if (auto err = validate(config.transport.faults, config.num_workers))
@@ -150,7 +150,7 @@ std::optional<ConfigError> validate(const RunConfig& config) {
 
 std::optional<ConfigError> validate_distributed(const RunConfig& config) {
   if (auto err = validate(config)) return err;
-  if (auto err = validate_net(config.net, config.num_workers)) return err;
+  if (auto err = validate_net(config.net)) return err;
   if (config.checkpoint.replicas < 1)
     return fail("checkpoint.replicas",
                 "at least one rank must hold each checkpoint");

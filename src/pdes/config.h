@@ -119,8 +119,8 @@ struct FaultPlan {
 /// and the pacing of the reliable layer (sequence numbers, dedup,
 /// cumulative acks, retransmission).  Whether that layer is composed at all
 /// is not a setting: it follows the wire (Transport::lossless in
-/// transport.h).  Fault-free in-process runs pass straight through; a fault
-/// plan or the distributed engine's socket mesh brings it in.
+/// transport.h).  Fault-free runs, the distributed socket mesh included,
+/// pass straight through; a fault plan brings it in.
 struct TransportConfig {
   FaultPlan faults;
   /// Retransmission attempts per packet before the run aborts with a
@@ -131,9 +131,7 @@ struct TransportConfig {
   std::uint32_t max_retries = 100;
   /// Initial retransmit timeout in engine time units (virtual clock for the
   /// machine engine, scheduler loop iterations for the threaded engine,
-  /// milliseconds for the distributed engine, which raises it to
-  /// net.heartbeat_timeout_ms when neither faults nor fault tolerance are
-  /// on), doubled after every retry.
+  /// milliseconds for the distributed engine), doubled after every retry.
   double rto = 16.0;
 };
 
@@ -173,28 +171,22 @@ struct CheckpointConfig {
 };
 
 // Fixed parameters of the distributed engine's socket layer (src/net), in
-// wall-clock milliseconds unless named otherwise.  The connect window and
-// the backoff cap stretch with $VSIM_TIME_SCALE (scaled_ms below), as the
-// heartbeat timeout does.
+// wall-clock milliseconds unless named otherwise.  The connect window
+// stretches with $VSIM_TIME_SCALE (scaled_ms below), as the heartbeat
+// timeout does.
 
 /// Window for the initial full-mesh connect (covers listener-bind races at
-/// process startup).
+/// process startup).  The only window in which a dial is retried: after
+/// it, a broken connection is a dead rank.
 inline constexpr std::uint32_t kConnectTimeoutMs = 5000;
-/// Consecutive failed redials of one peer before the link is declared dead
-/// for good (surfaces as a structured TransportError when nothing can
-/// recover it).  A successful reconnect resets the counter.
-inline constexpr std::uint32_t kReconnectMaxAttempts = 10;
-/// Exponential-backoff delay between redials:
-/// min(kReconnectBaseMs << attempt, kReconnectMaxMs).
-inline constexpr std::uint32_t kReconnectBaseMs = 2;
-inline constexpr std::uint32_t kReconnectMaxMs = 250;
 /// Upper bound on one wire frame; larger frames are a protocol error.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
 /// Socket layer of the multi-process distributed engine (pdes/distributed.h,
-/// src/net).  All durations are wall-clock milliseconds: unlike the in-
-/// process engines, rank death and link outages are physical phenomena and
-/// must be detected on a physical clock.
+/// src/net).  Every rank is a child process on this host, so the kernel
+/// reports a rank's death as EOF on its connections and that is how deaths
+/// are detected.  Heartbeats remain only as the backstop for a rank that is
+/// alive but wedged; their durations are wall-clock milliseconds.
 struct NetConfig {
   /// Directory for the per-rank Unix-domain listening sockets
   /// (`<dir>/rank-<i>.sock`).  Empty: a fresh directory under $TMPDIR.
@@ -205,21 +197,12 @@ struct NetConfig {
   std::string host = "127.0.0.1";
   std::uint16_t base_port = 0;
   /// Heartbeat cadence; every rank heartbeats every peer so silence is
-  /// detectable on any link, not just at the coordinator.
+  /// observable on any link, not just at the coordinator.
   std::uint32_t heartbeat_interval_ms = 20;
-  /// Silence on a rank (no frame of any kind) after which the coordinator
-  /// declares it dead and starts recovery.
+  /// Silence (no frame of any kind) from a connected rank after which the
+  /// run ends with a structured RecoveryError ("rank r unresponsive").
+  /// Silence never starts a failover: only a lost connection does.
   std::uint32_t heartbeat_timeout_ms = 1000;
-  /// Deterministic transient-disconnect injection: after `src` has written
-  /// `after_data_frames` data frames to `dst`, the connection is hard-closed
-  /// once (with its buffered bytes discarded), forcing a backoff reconnect
-  /// plus retransmission.  Test hook for the reconnect path.
-  struct Disconnect {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::uint64_t after_data_frames = 0;
-  };
-  std::vector<Disconnect> disconnects;
 };
 
 /// Structured configuration-validation failure: which field is bad and why.
@@ -235,8 +218,7 @@ std::optional<ConfigError> validate(const FaultPlan& plan,
                                     std::size_t num_workers);
 struct AdaptPolicy;
 std::optional<ConfigError> validate(const AdaptPolicy& adapt);
-std::optional<ConfigError> validate_net(const NetConfig& net,
-                                        std::size_t num_ranks);
+std::optional<ConfigError> validate_net(const NetConfig& net);
 struct RunConfig;
 std::optional<ConfigError> validate(const RunConfig& config);
 /// Everything validate() checks plus the distributed-engine-specific rules
@@ -245,11 +227,11 @@ std::optional<ConfigError> validate_distributed(const RunConfig& config);
 
 /// Wall-clock scale factor from $VSIM_TIME_SCALE (>= 1, clamped to [1, 100];
 /// unset or unparsable reads as 1).  Sanitizer CI legs set it so heartbeat
-/// timeouts, reconnect budgets, and test watchdogs all stretch together
-/// instead of a slow instrumented run being mistaken for a dead rank.
+/// timeouts, the connect window and test watchdogs all stretch together
+/// instead of a slow instrumented run being mistaken for a wedged rank.
 [[nodiscard]] double time_scale();
 /// `ms` stretched by time_scale(): the wall-clock budgets of the socket
-/// layer (heartbeat timeout, connect window, reconnect backoff cap).
+/// layer (heartbeat timeout, connect window).
 [[nodiscard]] std::uint32_t scaled_ms(std::uint32_t ms);
 
 /// Parameters of the self-adaptation policy (evaluated per LP at GVT rounds

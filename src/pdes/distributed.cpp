@@ -314,8 +314,7 @@ class DistributedEngine::DistRouter final : public Router {
 
   void route(Event&& ev) override {
     const std::uint32_t owner = eng_.partition_[ev.dst];
-    eng_.count_send(eng_.self_.stats, 0, owner == eng_.rank_,
-                    ev.kind == kNullMsgKind);
+    eng_.count_send(eng_.self_.stats, 0, owner == eng_.rank_, ev);
     if (owner == eng_.rank_) {
       eng_.deliver(eng_.self_, std::move(ev), *this);
     } else {
@@ -341,21 +340,11 @@ DistributedEngine::DistributedEngine(LpGraph& graph, Partition partition,
   // covers them (or at termination), so neither a recovery that rewinds
   // the cluster nor a coordinator failover can double-report one.
   buffer_commits_ = true;
-  // Sanitizer / loaded-CI legs stretch every wall-clock liveness budget
-  // uniformly (VSIM_TIME_SCALE) so slow execution is not mistaken for death;
-  // the socket node stretches its connect and backoff constants likewise.
+  // Sanitizer / loaded-CI legs stretch every wall-clock budget uniformly
+  // (VSIM_TIME_SCALE) so slow execution is not mistaken for a wedged rank;
+  // the socket node stretches its connect window likewise.
   config_.net.heartbeat_timeout_ms = scaled_ms(config_.net.heartbeat_timeout_ms);
-  // A stream loses an unacked frame only when its connection breaks, and
-  // heartbeats notice a break within heartbeat_timeout_ms.  Resending any
-  // sooner only duplicates the frames of a rank that is merely slow (a
-  // loaded host), so on a wire that only reconnects -- no injected faults,
-  // no rank deaths -- the retransmit timeout is the heartbeat timeout.
-  if (!force_flush_drain())
-    config_.transport.rto =
-        std::max(config_.transport.rto,
-                 static_cast<double>(config_.net.heartbeat_timeout_ms));
   replicas_ = std::min<std::uint32_t>(config_.checkpoint.replicas, nranks_);
-  dead_pending_.assign(nranks_, false);
   pids_.assign(nranks_, -1);
   reaped_.assign(nranks_, false);
   votes_.resize(nranks_);
@@ -461,9 +450,9 @@ void DistributedEngine::setup_stack_or_die() {
     deliver(self_, std::move(ev), router);
   });
 
-  // Wait for the full outbound mesh before any protocol traffic: forcing
-  // data into half-connected links would burn the reliable layer's retry
-  // budget on a startup race instead of a real outage.
+  // Wait for the full outbound mesh before any protocol traffic: a link
+  // still dialing when the connect window closes is a peer that never
+  // came up.
   const std::int64_t connect_ms = scaled_ms(kConnectTimeoutMs);
   const std::int64_t deadline = net::now_ms() + connect_ms;
   while (!node_->all_links_up() && net::now_ms() < deadline) node_->pump(1);
@@ -474,31 +463,43 @@ void DistributedEngine::setup_stack_or_die() {
     return;
   }
 
-  // Startup barrier.  A fast rank's own mesh can complete before the
-  // initial coordinator's dials do, and every rank holds its seed events
-  // locally -- so without a barrier a rank with an early scripted crash
-  // could process its way to the crash time and die while rank 0 is still
-  // connecting, turning a recoverable mid-run death into a bogus startup
-  // timeout.  Rank 0 announces the full mesh with kResume; everyone else
-  // holds all protocol work until the announcement arrives.
-  if (rank_ == 0) {
-    broadcast(net::FrameType::kResume, {});
-    return;
-  }
+  // Startup barrier: no rank executes an event before every rank's full
+  // mesh is up.  Every rank holds its seed events locally, so without it a
+  // rank with an early scripted crash could process its way to the crash
+  // and die before a slower peer had dialed it -- and that peer's dial
+  // would fail its startup instead of seeing a death it can recover from.
+  // Each rank reports its mesh with kRecoverDone ("parked for resume");
+  // rank 0 releases everyone with kResume once all reports are in.
   const std::int64_t go_deadline = net::now_ms() + connect_ms;
-  for (;;) {
-    bool go = false;
-    for (auto it = ctrl_.begin(); it != ctrl_.end(); ++it) {
-      if (it->type == net::FrameType::kResume) {
-        ctrl_.erase(it);
-        go = true;
-        break;
+  const auto take = [&](net::FrameType type) {
+    std::uint32_t n = 0;
+    for (auto it = ctrl_.begin(); it != ctrl_.end();) {
+      if (it->type == type) {
+        it = ctrl_.erase(it);
+        ++n;
+      } else {
+        ++it;
       }
     }
-    if (go) break;
-    if (net::now_ms() >= go_deadline) _exit(5);
+    return n;
+  };
+  if (rank_ != 0) node_->send(0, net::FrameType::kRecoverDone, {});
+  std::uint32_t waiting = rank_ == 0 ? nranks_ - 1 : 1;
+  for (;;) {
+    const std::uint32_t got = take(rank_ == 0 ? net::FrameType::kRecoverDone
+                                              : net::FrameType::kResume);
+    waiting -= std::min(waiting, got);
+    if (waiting == 0) break;
+    if (net::now_ms() >= go_deadline) {
+      if (rank_ != 0) _exit(5);
+      config_error_ = ConfigError{"net", "startup barrier timed out (" +
+                                             std::to_string(connect_ms) +
+                                             " ms)"};
+      return;
+    }
     node_->pump(1);
   }
+  if (rank_ == 0) broadcast(net::FrameType::kResume, {});
 }
 
 void DistributedEngine::on_frame(std::uint32_t src, const net::FrameView& v) {
@@ -851,8 +852,8 @@ void DistributedEngine::main_loop() {
     DistRouter router(*this);
     // Bounded lag: a rank runs at most kMaxLagIntervals GVT intervals past
     // the last GVT it applied.  A healthy round closes well inside that; a
-    // stalled one (a peer died and is not yet detected) holds the rank
-    // instead of letting it speculate without bound.
+    // stalled one (a peer died and is not yet recovered around) holds the
+    // rank instead of letting it speculate without bound.
     const std::uint64_t lag_cap =
         std::uint64_t{kMaxLagIntervals} * config_.gvt_interval;
     for (std::uint32_t slice = 0;
@@ -895,23 +896,26 @@ void DistributedEngine::handle_ctrl(const ControlMsg& m) {
 }
 
 bool DistributedEngine::monitor_cluster() {
-  // Deterministic succession: this rank takes over exactly when the
-  // coordinator AND every live rank below it have gone silent -- so for a
-  // given surviving set there is exactly one rank whose condition can ever
-  // become true, and two survivors can never promote concurrently (the
-  // lower one is, by being alive, the reason the upper one holds back).
-  const std::int64_t now = net::now_ms();
-  const auto silent = [&](std::uint32_t r) {
-    return node_->link_failed(r) ||
-           node_->last_heard_ms(r) +
-                   2 * static_cast<std::int64_t>(
-                           config_.net.heartbeat_timeout_ms) <
-               now;
-  };
-  if (!silent(coord_)) return false;
-  for (std::uint32_t r = 0; r < rank_; ++r)
-    if (!retired_[r] && !silent(r)) return false;
-  if (ft_on_ && !is_successor(rank_)) abort_replica_lost();
+  // Deterministic succession from kernel evidence: this rank takes over
+  // exactly when the connections of the coordinator AND of every live rank
+  // below it are lost, i.e. those processes are gone.  For a given surviving
+  // set exactly one rank's condition can become true, so two survivors can
+  // never promote concurrently.  Silence promotes nobody: a wedged rank
+  // below us ends the run instead.
+  bool all_lost = true;
+  for (std::uint32_t r = 0; r < rank_; ++r) {
+    if (retired_[r]) continue;
+    const net::PeerVerdict v =
+        node_->verdict(r, config_.net.heartbeat_timeout_ms);
+    if (v == net::PeerVerdict::kUnresponsive)
+      fail_from_rank(r, unresponsive_message(r));
+    if (v == net::PeerVerdict::kAlive) all_lost = false;
+  }
+  if (!all_lost) return false;
+  if (ft_on_ && !is_successor(rank_))
+    fail_from_rank(coord_,
+                   "coordinator and every checkpoint replica died; no "
+                   "surviving rank holds a snapshot to take over from");
   // Without fault tolerance the lowest survivor still promotes -- not to
   // recover, but so coordinator_recover can fail the run with the same
   // structured "died without fault tolerance" error a worker death gets.
@@ -919,9 +923,12 @@ bool DistributedEngine::monitor_cluster() {
   return true;
 }
 
+std::string DistributedEngine::unresponsive_message(std::uint32_t r) const {
+  return "rank " + std::to_string(r) + " unresponsive for " +
+         std::to_string(net::now_ms() - node_->last_heard_ms(r)) + " ms";
+}
+
 void DistributedEngine::promote_self() {
-  for (std::uint32_t r = 0; r < rank_; ++r)
-    if (!retired_[r]) dead_pending_[r] = true;
   coord_ = rank_;
   // Term-level epoch bump: past everything we have ever seen, offset by our
   // rank so even two theoretically-concurrent promotions (which succession
@@ -953,13 +960,11 @@ void DistributedEngine::promote_self() {
   gate_.rewind(safe_bound_);  // the first post-promotion round never stalls
 }
 
-void DistributedEngine::abort_replica_lost() {
-  // The coordinator and every rank holding a checkpoint replica are gone:
-  // nothing this rank could restore would be consistent with the commits
-  // already released, so a structured failure beats a silent hang.
-  fail_run(coord_,
-           "coordinator and every checkpoint replica died; no surviving "
-           "rank holds a snapshot to take over from");
+void DistributedEngine::fail_from_rank(std::uint32_t worker,
+                                       std::string message) {
+  // A structured failure beats a silent hang: this rank reports it as the
+  // run's result and stops everyone it can still reach.
+  fail_run(worker, std::move(message));
   RunStats rs;
   coordinator_finish(rs);
   pipe_final(rs);
@@ -1000,20 +1005,12 @@ void DistributedEngine::rank_handle(const ControlMsg& m) {
 }
 
 DistributedEngine::DrainVote DistributedEngine::drain_vote() {
-  // The socket streams are reliable and ordered, so a wire that only
-  // reconnects needs just the timer-driven retransmits of poll(): they
-  // repair what a reconnect lost.  With injected faults or rank deaths the
-  // drain forces everything back out -- once per pass, and only when every
-  // link is actually up: each force-retransmission bills a retry attempt,
-  // and forcing into a reconnecting link would spend the whole budget on
-  // one outage.  With a link down, the pass simply votes non-quiescent and
-  // the coordinator keeps draining.
+  // The mesh is lossless, so only a stacked FaultyTransport leaves anything
+  // to push out: its holdbacks, and the reliable layer's unacked packets,
+  // force-resent once per pass.
   voting_ = true;
   release_held_data();
-  if (force_flush_drain() && node_->all_links_up())
-    net_->flush(rank_, nowd());
-  else
-    net_->poll(rank_, nowd());
+  net_->flush(rank_, nowd());
   const std::int64_t deadline = net::now_ms() + kDrainFlushBudgetMs;
   while (!node_->all_flushed() && net::now_ms() < deadline) pump_io(1);
   pump_io(0);
@@ -1206,7 +1203,6 @@ void DistributedEngine::fold_node_counters() {
   sh.inc(obs::Metric::kNetFramesSent, nc.frames_sent);
   sh.inc(obs::Metric::kNetFramesRecv, nc.frames_recv);
   sh.inc(obs::Metric::kNetHeartbeats, nc.heartbeats_sent);
-  sh.inc(obs::Metric::kNetReconnects, nc.reconnects);
   sh.inc(obs::Metric::kNetDisconnects, nc.disconnects);
   sh.inc(obs::Metric::kNetCrcErrors, nc.crc_errors);
 }
@@ -1331,13 +1327,6 @@ void DistributedEngine::coordinator_handle(const ControlMsg& m) {
     case FrameType::kRecoverDone:
       if (m.epoch == epoch_ && m.src < nranks_) recover_done_[m.src] = true;
       break;
-    case FrameType::kLinkDown: {
-      bytes::Reader r(m.payload.data(), m.payload.size());
-      const std::uint32_t peer = r.u32();
-      if (r.ok() && peer != rank_ && peer < nranks_ && !retired_[peer])
-        dead_pending_[peer] = true;
-      break;
-    }
     case FrameType::kStats: {
       if (m.src >= nranks_ || stats_got_[m.src]) break;
       bytes::Reader r(m.payload.data(), m.payload.size());
@@ -1768,27 +1757,19 @@ void DistributedEngine::try_release_batches() {
 // ---------------------------------------------------------------------------
 
 bool DistributedEngine::check_deaths() {
-  const std::int64_t now = net::now_ms();
+  // A lost connection is a dead rank (children cannot waitpid siblings, but
+  // the kernel closes a dead process's sockets).  Silence past the timeout
+  // is a wedged rank: the run ends, nobody is recovered around it.
   bool any = false;
   for (std::uint32_t r = 0; r < nranks_; ++r) {
     if (r == rank_ || retired_[r]) continue;
-    if (dead_pending_[r]) {
-      any = true;
-      continue;
+    const net::PeerVerdict v =
+        node_->verdict(r, config_.net.heartbeat_timeout_ms);
+    if (v == net::PeerVerdict::kUnresponsive) {
+      fail_run(r, unresponsive_message(r));
+      return true;
     }
-    // Pure liveness evidence: heartbeat silence past the timeout or an
-    // exhausted reconnect budget.  (Children cannot waitpid siblings; the
-    // supervisor alone reaps.)
-    bool dead = false;
-    if (node_->last_heard_ms(r) +
-            static_cast<std::int64_t>(config_.net.heartbeat_timeout_ms) <
-        now)
-      dead = true;
-    if (node_->link_failed(r)) dead = true;
-    if (dead) {
-      dead_pending_[r] = true;
-      any = true;
-    }
+    any = any || v == net::PeerVerdict::kLost;
   }
   return any;
 }
@@ -1799,13 +1780,13 @@ bool DistributedEngine::coordinator_recover() {
     return false;
   };
   for (;;) {
+    if (failed_) return false;
     std::uint32_t first_dead = 0;
     bool have_dead = false;
     for (std::uint32_t r = 0; r < nranks_; ++r) {
-      if (r == rank_ || !dead_pending_[r]) continue;
+      if (r == rank_ || retired_[r] || !node_->peer_lost(r)) continue;
       retired_[r] = true;
       node_->retire_peer(r);
-      dead_pending_[r] = false;
       ++ckstats_.crashes;
       if (!have_dead) {
         first_dead = r;
@@ -1943,16 +1924,17 @@ void DistributedEngine::coordinator_finish(RunStats& out) {
     pipe_commit_batch(0, commit_buf_, true);
   }
 
-  // Collect final stats from every live rank; the deadline covers a rank
-  // that died at the stop order (its silence must not hang the run).
+  // Collect final stats from every live rank.  A rank that died at the
+  // stop order (or wedged) stops being waited for, as its verdict says.
   if (!failed_) {
-    const std::int64_t deadline =
-        net::now_ms() + config_.net.heartbeat_timeout_ms + 2000;
     for (;;) {
       bool all = true;
       for (std::uint32_t r = 0; r < nranks_; ++r)
-        if (r != rank_ && !retired_[r] && !stats_got_[r]) all = false;
-      if (all || net::now_ms() >= deadline) break;
+        if (r != rank_ && !retired_[r] && !stats_got_[r] &&
+            node_->verdict(r, config_.net.heartbeat_timeout_ms) ==
+                net::PeerVerdict::kAlive)
+          all = false;
+      if (all) break;
       pump_io(1);
       while (!ctrl_.empty()) {
         ControlMsg m = std::move(ctrl_.front());
@@ -2053,14 +2035,22 @@ void DistributedEngine::supervisor_main(RunStats& out) {
   for (std::uint32_t r = 0; r < nranks_; ++r)
     parsers.emplace_back(1u << 30);  // trusted in-kernel pipe, no peer cap
   std::vector<bool> eof(nranks_, false);
+  /// Frames a rank piped that the term rule below holds back.
+  struct Piped {
+    net::FrameType type{};
+    std::uint32_t epoch = 0;
+    std::vector<std::uint8_t> payload;
+  };
+  std::vector<std::deque<Piped>> held(nranks_);
+  std::uint32_t term = 0;  ///< newest epoch term handled so far
   std::set<std::uint64_t> emitted;
   bool got_final = false;
   bool killed_rest = false;
   std::uint32_t final_src = 0;
 
-  const auto handle = [&](std::uint32_t src, const net::FrameView& v) {
-    bytes::Reader r(v.data, v.size);
-    if (v.type == net::FrameType::kCommit) {
+  const auto handle = [&](std::uint32_t src, const net::FrameView& f) {
+    bytes::Reader r(f.data, f.size);
+    if (f.type == net::FrameType::kCommit) {
       const bool terminal = r.u8() != 0;
       const std::uint64_t round = r.u64();
       // Round-level dedup: a promoted coordinator re-emits the batches it
@@ -2074,7 +2064,7 @@ void DistributedEngine::supervisor_main(RunStats& out) {
         evs.push_back(decode_event(r));
       if (!r.ok() || !fresh || !hook_) return;
       for (const Event& ev : evs) hook_(ev);
-    } else if (v.type == net::FrameType::kFinal && !got_final) {
+    } else if (f.type == net::FrameType::kFinal && !got_final) {
       RunStats st;
       Partition part;
       if (!decode_run_stats(r, &st, &part)) return;
@@ -2084,14 +2074,23 @@ void DistributedEngine::supervisor_main(RunStats& out) {
       final_src = src;
     }
   };
+  // Frames are handled in ascending RANK order.  Within one epoch term the
+  // coordinator is the lowest live rank and pipes every held batch before
+  // its stop order, so no rank's commit tail overtakes a batch that
+  // precedes it.  Across a failover, a frame of a newer term from rank r
+  // waits until every lower rank's pipe reached EOF: the promotion happened
+  // because those ranks died, so the old coordinator's last frames are all
+  // handled first, and the wait always ends.
+  const auto admit = [&](std::uint32_t r, std::uint32_t epoch) {
+    const std::uint32_t t = epoch >> kEpochSeqBits;
+    if (t <= term) return true;
+    for (std::uint32_t q = 0; q < r; ++q)
+      if (!eof[q]) return false;
+    term = t;
+    return true;
+  };
 
   for (;;) {
-    // Drain ready pipes in ascending RANK order every cycle.  A promoted
-    // coordinator always has a higher rank than the dead one, and its
-    // promotion lags the death by >= 2x the heartbeat timeout -- by which
-    // time the old coordinator's last commit frames already sit in our
-    // pipe buffer.  Rank-order draining therefore preserves cross-pipe
-    // commit ordering across a failover.
     std::vector<pollfd> fds;
     std::vector<std::uint32_t> fd_rank;
     for (std::uint32_t r = 0; r < nranks_; ++r) {
@@ -2099,8 +2098,7 @@ void DistributedEngine::supervisor_main(RunStats& out) {
       fds.push_back(pollfd{pipe_r_[r], POLLIN, 0});
       fd_rank.push_back(r);
     }
-    if (fds.empty()) break;
-    ::poll(fds.data(), fds.size(), 100);
+    if (!fds.empty()) ::poll(fds.data(), fds.size(), 100);
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const std::uint32_t r = fd_rank[i];
@@ -2123,9 +2121,23 @@ void DistributedEngine::supervisor_main(RunStats& out) {
       net::FrameView v;
       std::string err;
       int rc;
-      while ((rc = parsers[r].next(&v, &err)) == 1) handle(r, v);
+      while ((rc = parsers[r].next(&v, &err)) == 1) {
+        if (held[r].empty() && admit(r, v.epoch))
+          handle(r, v);
+        else
+          held[r].push_back(Piped{v.type, v.epoch, {v.data, v.data + v.size}});
+      }
       if (rc < 0) eof[r] = true;
     }
+    for (std::uint32_t r = 0; r < nranks_; ++r) {
+      while (!held[r].empty() && admit(r, held[r].front().epoch)) {
+        const Piped& f = held[r].front();
+        handle(r, net::FrameView{f.type, f.epoch, f.payload.data(),
+                                 f.payload.size()});
+        held[r].pop_front();
+      }
+    }
+    if (fds.empty()) break;
     if (got_final && eof[final_src] && !killed_rest) {
       // The authoritative result is complete; survivors that are merely
       // slow to notice the shutdown do not get to hold the run open.
@@ -2188,11 +2200,10 @@ void DistributedEngine::debug_dump(std::FILE* out) const {
     const net::NodeCounters& nc = node_->counters();
     std::fprintf(out,
                  "  node: frames_sent=%llu frames_recv=%llu hb_sent=%llu "
-                 "reconnects=%llu disconnects=%llu\n",
+                 "disconnects=%llu\n",
                  static_cast<unsigned long long>(nc.frames_sent),
                  static_cast<unsigned long long>(nc.frames_recv),
                  static_cast<unsigned long long>(nc.heartbeats_sent),
-                 static_cast<unsigned long long>(nc.reconnects),
                  static_cast<unsigned long long>(nc.disconnects));
   }
 }

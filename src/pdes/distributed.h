@@ -12,14 +12,13 @@
 //
 // Layering per rank (bottom-up):
 //
-//   SocketNode (src/net/node.h: framing, hello/heartbeats, reconnect
-//        |       backoff, epoch filtering)
-//   SocketTransport (src/net/socket_transport.h: Packet <-> kData frames)
+//   SocketNode (src/net/node.h: framing, hello/heartbeats, peer loss,
+//        |       epoch filtering)
+//   SocketTransport (src/net/socket_transport.h: Packet <-> kData frames;
+//        |            lossless within an epoch -- the node never reconnects)
 //   [FaultyTransport] (seeded chaos, now injected on real network traffic)
-//   ChannelStack (seq/ack/dedup/retransmit -- composed because the socket
-//        |        wire is not lossless(): a reconnect may drop or replay
-//        |        the frame that straddled the break, and the channel layer
-//        |        owns exactly-once)
+//   ChannelStack (per-link counts; seq/ack/dedup/retransmit only when a
+//        |        FaultyTransport sits below it)
 //   DistributedEngine (this file: scheduling, GVT rounds, recovery)
 //
 // Recovery resets each rank's channel stack to fresh cursors; checkpoints
@@ -38,8 +37,8 @@
 // delivered.  The minimum of the reports is GVT; RoundGate judges it and
 // kGvtSet is applied between event slices.  The coordinator runs its round
 // as a non-blocking step of its own event loop.  A rank runs at most two
-// GVT intervals past the last GVT it applied, so a round stalled by a peer
-// that died unnoticed holds the ranks instead of letting them speculate
+// GVT intervals past the last GVT it applied, so a round stalled by a dead
+// peer holds the ranks until recovery instead of letting them speculate
 // without bound.
 //
 // Only a checkpoint capture needs a quiescent network.  Such a round stops
@@ -58,18 +57,24 @@
 // reach the outside world only when the snapshot that regenerates-or-covers
 // it would survive the coordinator's own death.
 //
-// A worker that dies is retired by the coordinator exactly as before
-// (kRecover: epoch bump, orphan redistribution, restore blob).  A dead
-// *coordinator* is detected by the lowest surviving rank (silence from the
-// coordinator and from every rank below itself); if that rank is a
-// successor it promotes itself: it fences the old regime with a term-level
-// epoch bump, re-emits its retained commit batches (the supervisor
-// deduplicates by round, so re-sends of already-released batches are
-// harmless and unreleased ones emit exactly once), and runs the ordinary
-// recovery broadcast.  Survivors that are not successors abort with a
-// structured RecoveryError rather than hang.  The committed trace of a
-// crashed-and-recovered run -- coordinator deaths included -- is
-// bit-identical to an uninterrupted one.
+// Death verdicts come from the kernel, not from a clock: every rank is a
+// child of the supervisor on this host, so a connection breaks only when
+// the process behind it dies, and a lost connection is a dead rank.  A
+// worker that dies is retired by the coordinator (kRecover: epoch bump,
+// orphan redistribution, restore blob).  A dead *coordinator* is replaced
+// by the lowest surviving rank once the coordinator's connection and those
+// of every live rank below it are lost; if that rank is a successor it
+// promotes itself: it fences the old regime with a term-level epoch bump,
+// re-emits its retained commit batches (the supervisor deduplicates by
+// round, so re-sends of already-released batches are harmless and
+// unreleased ones emit exactly once), and runs the ordinary recovery
+// broadcast.  Survivors that are not successors abort with a structured
+// RecoveryError rather than hang.  Heartbeat silence past
+// net.heartbeat_timeout_ms only ends the run ("rank r unresponsive"): a
+// rank that is alive but wedged is never recovered around, so it cannot
+// come back as a zombie.  The committed trace of a crashed-and-recovered
+// run -- coordinator deaths included -- is bit-identical to an
+// uninterrupted one.
 //
 // Clustered graphs (pdes/cluster.h) run unchanged: a ClusterLp is a plain
 // LP to this engine, Event::sub carries the inner flat destination across
@@ -178,12 +183,6 @@ class DistributedEngine : public EngineCore {
   void cut_step();
   void send_vote(std::uint64_t round, Phase wave, std::uint32_t pass,
                  const DrainVote& v, bool snapshot);
-  /// Whether drains force-retransmit (and the retransmit timeout stays
-  /// short): only when the wire can lose more than a reconnect does, with
-  /// injected faults or with rank deaths possible.
-  [[nodiscard]] bool force_flush_drain() const {
-    return config_.transport.faults.active() || ft_on_;
-  }
   /// Adds the socket node's counters to the metrics shard.
   void fold_node_counters();
   void apply_restore(const Checkpoint& ck);
@@ -218,12 +217,17 @@ class DistributedEngine : public EngineCore {
   [[noreturn]] void rank_finish();
   void rank_send_stats();
   [[noreturn]] void rank_abort_transport(const TransportError& err);
-  /// Deterministic succession watch: promote when the coordinator AND every
-  /// live rank below us have gone silent.  Returns true when this rank just
-  /// became coordinator (the caller restarts its loop iteration).
+  /// Deterministic succession watch: promote when the connections of the
+  /// coordinator AND of every live rank below us are lost; end the run when
+  /// one of them is silent past the heartbeat timeout instead.  Returns
+  /// true when this rank just became coordinator (the caller restarts its
+  /// loop iteration).
   bool monitor_cluster();
   void promote_self();
-  [[noreturn]] void abort_replica_lost();
+  /// Records the RecoveryError, stops the run, pipes the result as this
+  /// rank's kFinal and exits.
+  [[noreturn]] void fail_from_rank(std::uint32_t worker, std::string message);
+  [[nodiscard]] std::string unresponsive_message(std::uint32_t r) const;
 
   // --- coordinator duties (rank_ == coord_) ---
   void coordinator_handle(const ControlMsg& m);
@@ -250,6 +254,9 @@ class DistributedEngine : public EngineCore {
   /// Pipes every assembled batch still held, oldest round first: before
   /// the stop order goes out, so no rank's commit tail can overtake one.
   void release_held_batches();
+  /// True when a live rank's connection is lost (coordinator_recover then
+  /// retires it), or when one was silent past the heartbeat timeout (the
+  /// run is failed then).
   bool check_deaths();
   bool coordinator_recover();  ///< false: recovery failed, run is done
   /// Records the RecoveryError, then abort_run().
@@ -316,7 +323,6 @@ class DistributedEngine : public EngineCore {
   std::vector<bool> recover_done_;
 
   // Fault tolerance (retired_: rank is dead and recovered-around).
-  std::vector<bool> dead_pending_;
   std::map<std::uint64_t, CkptAssembly> pending_ck_;
   std::vector<double> lp_work_;  ///< work scores for orphan placement
   /// Coordinator: assembled-but-not-yet-released commit batches per round,

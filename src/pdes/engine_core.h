@@ -211,9 +211,11 @@ class EngineCore {
   bool try_process_one(ReadyScope& s, R& router);
   /// Charges `lp`'s parked credit in `q` to its blocked polls.
   void credit(ReadyQueue& q, LpId lp);
-  /// Router accounting: a local send, or a remote data / null message.
+  /// Router accounting for `ev`: a local send, or a remote data / null
+  /// message.  Debug builds also check the null-message contract: no LP
+  /// routes an event that promises less than its last null message did.
   void count_send(WorkerStats& s, std::size_t shard, bool local,
-                  bool is_null);
+                  const Event& ev);
   /// Router::commit.  Buffered per LP while `buffer_commits_` (output
   /// commit under fault tolerance), otherwise straight to the hook.
   void commit(const Event& ev);
@@ -347,7 +349,10 @@ class EngineCore {
 // ---------------------------------------------------------------------------
 
 inline void EngineCore::count_send(WorkerStats& s, std::size_t shard,
-                                   bool local, bool is_null) {
+                                   bool local, const Event& ev) {
+  assert(!null_msgs_ ||
+         !(lps_[ev.src].promise_from(ev.ts) < last_promise_[ev.src]));
+  const bool is_null = ev.kind == kNullMsgKind;
   obs::MetricsShard& m = metrics_.shard(shard);
   if (local) {
     ++s.messages_sent_local;

@@ -313,13 +313,16 @@ void LpRuntime::fossil_collect(VirtualTime gvt, Router& router) {
 }
 
 VirtualTime LpRuntime::null_promise() const {
-  // Lower bound on future outputs: anything this LP will still process is
-  // bounded below by min(pending, channel clocks); outputs additionally gain
-  // the LP's static physical-time lookahead.
-  VirtualTime base = std::min(next_ts(), min_channel_clock());
-  if (base == kTimeInf) return kTimeInf;
+  // Anything this LP will still process is bounded below by min(pending,
+  // channel clocks); outputs additionally gain the LP's static
+  // physical-time lookahead.
+  const VirtualTime base = std::min(next_ts(), min_channel_clock());
+  return base == kTimeInf ? kTimeInf : promise_from(base);
+}
+
+VirtualTime LpRuntime::promise_from(VirtualTime t) const {
   const PhysTime la = use_lookahead_ ? lp_->lookahead() : 0;
-  return VirtualTime{base.pt + la, la > 0 ? 0 : base.lt};
+  return VirtualTime{t.pt + la, la > 0 ? 0 : t.lt};
 }
 
 std::size_t LpRuntime::rollback_all_deferred() {

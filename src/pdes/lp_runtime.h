@@ -120,9 +120,15 @@ class LpRuntime {
   /// router.commit() for every committed event in timestamp order.
   void fossil_collect(VirtualTime gvt, Router& router);
 
-  /// Lower bound (exclusive) on this LP's future output timestamps, for
-  /// null messages: no event with ts < null_promise() will ever be sent.
+  /// The promise for null messages: promise_from(t) for t the lowest time
+  /// this LP can still process, so no event sent later has a promise_from
+  /// below it.
   [[nodiscard]] VirtualTime null_promise() const;
+  /// What an output sent at `t` promises: `t` itself, or with lookahead the
+  /// start of the cycle `lookahead()` later.  A VHDL assignment travels at
+  /// its sender's time and carries its delay, so lookahead bounds when an
+  /// output takes effect, not when it is sent.
+  [[nodiscard]] VirtualTime promise_from(VirtualTime t) const;
 
   /// Rollbacks since the last adaptation window reset, and window control.
   [[nodiscard]] std::uint64_t window_rollbacks() const {

@@ -58,7 +58,7 @@ class MachineEngine::MachineRouter final : public Router {
     const std::uint32_t owner = eng_.partition_[ev.dst];
     Worker& from = self();
     const bool is_null = ev.kind == kNullMsgKind;
-    eng_.count_send(from.stats, wi, owner == wi, is_null);
+    eng_.count_send(from.stats, wi, owner == wi, ev);
     if (owner == wi) {
       from.clock += eng_.costs_.msg_local;
       receive(std::move(ev));

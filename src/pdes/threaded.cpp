@@ -55,7 +55,7 @@ class ThreadedEngine::ThreadedRouter final : public Router {
     const std::uint32_t owner = eng_.partition_[ev.dst];
     Worker& from = *eng_.workers_[wi_];
     const bool is_null = ev.kind == kNullMsgKind;
-    eng_.count_send(from.stats, wi_, owner == wi_, is_null);
+    eng_.count_send(from.stats, wi_, owner == wi_, ev);
     if (owner == wi_) {
       eng_.deliver(from, std::move(ev), *this);
       return;

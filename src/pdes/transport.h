@@ -20,8 +20,7 @@
 //
 // Reliability is a property of the wire, not a setting: the stack asks the
 // Transport directly below it whether it is lossless().  The in-process
-// wires are; a FaultyTransport is not, and neither is the socket mesh (a
-// reconnect can drop or replay the frame that straddled the break).
+// wires and the distributed socket mesh are; a FaultyTransport is not.
 //
 // Threading contract (threaded engine): all sender-side state of a link
 // src->dst (sequence counter, in-flight list, fault RNG, holdback queue)

@@ -971,6 +971,26 @@ TEST(ConfigValidation, RejectsBrokenRebalanceConfig) {
   EXPECT_FALSE(validate(rc).has_value());
 }
 
+// Null messages are the paper's all-conservative technique: an optimistic
+// sender can roll back below a promise, so every other configuration is
+// rejected on `strategy`, and all-conservative stays valid.
+TEST(ConfigValidation, NullMessagesOnlyUnderAllConservative) {
+  for (const Configuration c :
+       {Configuration::kAllOptimistic, Configuration::kMixed,
+        Configuration::kDynamic}) {
+    RunConfig rc;
+    rc.configuration = c;
+    rc.strategy = pdes::ConservativeStrategy::kNullMessage;
+    const auto err = validate(rc);
+    ASSERT_TRUE(err.has_value()) << to_string(c);
+    EXPECT_EQ(err->field, "strategy") << to_string(c);
+  }
+  RunConfig rc;
+  rc.configuration = Configuration::kAllConservative;
+  rc.strategy = pdes::ConservativeStrategy::kNullMessage;
+  EXPECT_FALSE(validate(rc).has_value());
+}
+
 // Both engines refuse to run an invalid configuration and surface the
 // structured error instead of asserting or crashing mid-flight.
 TEST(ConfigValidation, EnginesSurfaceConfigErrorWithoutRunning) {

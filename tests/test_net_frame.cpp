@@ -5,13 +5,15 @@
 // never crashes, never allocates unboundedly, and an absurd declared length
 // is rejected from the 8-byte header alone, before any body is buffered.
 // At the node layer, a connection that turns hostile is quarantined (closed
-// and counted) without disturbing the rest of the mesh, and kData frames
-// from a stale recovery epoch are dropped before they can reach the
-// reliable layer's reset cursors.
+// and counted) without disturbing the rest of the mesh, kData frames from a
+// stale recovery epoch are dropped before they can reach the channel
+// stack's reset cursors, and a peer whose connection breaks is lost for
+// good: the node reports it and never redials.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -264,6 +266,75 @@ TEST(SocketNodeHostile, GarbageConnectionQuarantinedMeshSurvives) {
     b.pump(1);
   }
   EXPECT_EQ(got, 1);
+  std::filesystem::remove_all(dir);
+}
+
+// ---- Peer loss and the liveness verdict ----------------------------------
+
+TEST(PeerVerdict, LossWinsThenSilenceThenAlive) {
+  struct Row {
+    bool lost;
+    std::int64_t last_heard;
+    std::int64_t now;
+    PeerVerdict want;
+  };
+  const std::int64_t timeout = 1000;
+  const Row rows[] = {
+      {true, 5000, 5000, PeerVerdict::kLost},     // lost, just heard
+      {true, 0, 5000, PeerVerdict::kLost},        // lost and silent
+      {false, 0, 5000, PeerVerdict::kUnresponsive},
+      {false, 3999, 5000, PeerVerdict::kUnresponsive},  // 1001 ms silent
+      {false, 4000, 5000, PeerVerdict::kAlive},   // exactly the timeout
+      {false, 5000, 5000, PeerVerdict::kAlive},
+  };
+  for (const Row& r : rows)
+    EXPECT_EQ(peer_verdict(r.lost, r.last_heard, r.now, timeout), r.want)
+        << "lost=" << r.lost << " silent=" << (r.now - r.last_heard);
+}
+
+void pump_until_up(SocketNode& a, SocketNode& b) {
+  const std::int64_t deadline = now_ms() + 5000;
+  while (!(a.all_links_up() && b.all_links_up()) && now_ms() < deadline) {
+    a.pump(1);
+    b.pump(1);
+  }
+}
+
+TEST(SocketNodeLoss, DestroyedPeerIsLostAndNeverRedialed) {
+  const std::string dir = fresh_socket_dir();
+  const pdes::NetConfig cfg = node_config(dir);
+  SocketNode a(0, 2, cfg);
+  auto b = std::make_unique<SocketNode>(1, 2, cfg);
+  std::string err;
+  ASSERT_TRUE(a.start(&err)) << err;
+  ASSERT_TRUE(b->start(&err)) << err;
+  pump_until_up(a, *b);
+  ASSERT_TRUE(a.all_links_up() && b->all_links_up());
+  EXPECT_EQ(a.verdict(1, 1000), PeerVerdict::kAlive);
+
+  // The process behind rank 1 "dies": its sockets close.
+  b.reset();
+  int pumps = 0;
+  while (!a.peer_lost(1) && pumps < 10) {
+    a.pump(1);
+    ++pumps;
+  }
+  EXPECT_TRUE(a.peer_lost(1)) << "after " << pumps << " pumps";
+  EXPECT_EQ(a.verdict(1, 1000), PeerVerdict::kLost);
+  EXPECT_EQ(a.counters().disconnects, 1u);
+  EXPECT_FALSE(a.send(1, FrameType::kGvtSet, {1}));  // dropped with the peer
+
+  // A new listener at rank 1's address never hears from rank 0 again.
+  SocketNode b2(1, 2, cfg);
+  ASSERT_TRUE(b2.start(&err)) << err;
+  const std::int64_t until = now_ms() + 200;
+  while (now_ms() < until) {
+    a.pump(1);
+    b2.pump(1);
+  }
+  EXPECT_EQ(b2.counters().frames_recv, 0u);
+  EXPECT_TRUE(a.peer_lost(1));
+  EXPECT_EQ(a.counters().disconnects, 1u);
   std::filesystem::remove_all(dir);
 }
 
